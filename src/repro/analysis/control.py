@@ -162,10 +162,11 @@ class _ControlPass:
     def _check_traffic_and_routes(self) -> None:
         components = self.program.design.components
         tables = self.coordinator
+        plan_for = self.program.plan_lookup()
         for state in tables.states:
             where = f"state {state.index} ({state.event})"
             try:
-                plan = self.program.plan_for(state.layer, state.phase_index)
+                plan = plan_for(state.layer, state.phase_index)
             except DeepBurningError:
                 self._emit(
                     "ctl.orphan-state", Severity.ERROR, where,

@@ -119,6 +119,23 @@ class MacBound:
     exact: bool  # True when derived from the actual quantized weights
 
 
+def _signed_row_sums(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum of positive and of negative entries, in int64.
+
+    Row sums widen to int64 inside the reduction, so a narrow image
+    view is never copied whole; only the positive part of one block of
+    rows is.  The reduction is unmasked: numpy's ``where=`` one is
+    several times slower.
+    """
+    pos = np.empty(len(matrix), dtype=np.int64)
+    neg = np.empty(len(matrix), dtype=np.int64)
+    for part in row_blocks(matrix):
+        block = matrix[part]
+        pos[part] = np.maximum(block, 0).sum(axis=1, dtype=np.int64)
+        neg[part] = block.sum(axis=1, dtype=np.int64) - pos[part]
+    return pos, neg
+
+
 def _mac_bound(weight_raw: np.ndarray | None, rows: int, terms: int,
                bias_raw: np.ndarray | None, bias_shift: int,
                inputs: Interval, weight_fmt: QFormat, *,
@@ -126,18 +143,9 @@ def _mac_bound(weight_raw: np.ndarray | None, rows: int, terms: int,
     lo, hi = inputs.lo, inputs.hi
     max_abs_x = inputs.max_abs
     if weight_raw is not None and weight_raw.size:
-        # Row sums widen to int64 inside the reduction, so a narrow
-        # image view is never copied whole; only a bool mask of one
-        # block of rows is.
         matrix = weight_raw.reshape(rows, -1)
         terms = matrix.shape[1]
-        pos = np.empty(rows, dtype=np.int64)
-        neg = np.empty(rows, dtype=np.int64)
-        for part in row_blocks(matrix):
-            block = matrix[part]
-            pos[part] = np.sum(block, axis=1, dtype=np.int64,
-                               where=block > 0)
-            neg[part] = np.sum(block, axis=1, dtype=np.int64) - pos[part]
+        pos, neg = _signed_row_sums(matrix)
         acc_lo = min(int(p) * lo + int(n) * hi for p, n in zip(pos, neg))
         acc_hi = max(int(p) * hi + int(n) * lo for p, n in zip(pos, neg))
         # -min, not abs: abs(min_int) overflows a narrow dtype.

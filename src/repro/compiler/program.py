@@ -9,6 +9,7 @@ contents and the fixed-point formats of every blob.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -40,11 +41,30 @@ class ControlProgram:
     dram_image: np.ndarray | None = None
 
     def plan_for(self, layer: str, phase_index: int) -> PhaseAddressPlan:
+        """The address plan of fold ``layer#phase_index``; a pass that
+        looks up every coordinator state uses :meth:`plan_lookup`."""
+        return self.plan_lookup()(layer, phase_index)
+
+    def plan_lookup(self) -> Callable[[str, int], PhaseAddressPlan]:
+        """:meth:`plan_for` over an index of :attr:`address_plans` built
+        now, so each lookup is O(1).
+
+        The first plan listed for a fold wins.  The index is a snapshot:
+        build one per pass, never keep it past an edit of the list.
+        """
+        index: dict[tuple[str, int], PhaseAddressPlan] = {}
         for plan in self.address_plans:
-            if (plan.phase.layer == layer
-                    and plan.phase.phase_index == phase_index):
-                return plan
-        raise CompileError(f"no address plan for {layer}#{phase_index}")
+            index.setdefault((plan.phase.layer, plan.phase.phase_index),
+                             plan)
+
+        def lookup(layer: str, phase_index: int) -> PhaseAddressPlan:
+            plan = index.get((layer, phase_index))
+            if plan is None:
+                raise CompileError(
+                    f"no address plan for {layer}#{phase_index}")
+            return plan
+
+        return lookup
 
     def weight_views(self) -> dict[str, dict[str, np.ndarray]]:
         """Every weighted layer's integer parameters as views into

@@ -76,6 +76,29 @@ def accumulator_format(data_fmt: QFormat, weight_fmt: QFormat) -> QFormat:
     return QFormat(min(40, 62 - fraction), fraction)
 
 
+#: Largest integer float64 represents exactly (53-bit mantissa).
+_FLOAT_EXACT_LIMIT = float(2 ** 53)
+
+
+def float_gemm_exact(reduce_dim: int, in_fmt: QFormat,
+                     weight_fmt: QFormat) -> bool:
+    """Whether a float64 BLAS GEMM reproduces the int64 matmul exactly.
+
+    Every product of a data word and a weight word is an integer of at
+    most ``in_bits + weight_bits`` magnitude, and any partial sum over
+    the reduction axis is bounded by ``K * max|d| * max|w|``.  When that
+    bound stays under 2^53 every intermediate value is an integer float64
+    represents exactly, so dgemm returns the same integers as the int64
+    kernel **regardless of its blocking or summation order** — and runs
+    an order of magnitude faster, since numpy's integer matmul cannot
+    use BLAS.  The execution plan packs its weights and the per-sample
+    executor builds its GEMM operands by this one predicate.
+    """
+    bound = float(reduce_dim) * float(in_fmt.max_int + 1) \
+        * float(weight_fmt.max_int + 1)
+    return bound < _FLOAT_EXACT_LIMIT
+
+
 def requantize(raw: np.ndarray, src: QFormat, dst: QFormat,
                out: np.ndarray | None = None) -> np.ndarray:
     """Convert raw integers from format ``src`` to format ``dst``.

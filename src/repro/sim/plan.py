@@ -60,6 +60,7 @@ from repro.fixedpoint.format import QFormat
 from repro.fixedpoint.ops import (
     accumulator_format,
     dequantize,
+    float_gemm_exact,
     quantize_to_ints,
     requantize,
 )
@@ -91,28 +92,6 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
-#: Largest integer float64 represents exactly (53-bit mantissa).
-_FLOAT_EXACT_LIMIT = float(2 ** 53)
-
-
-def _float_gemm_exact(reduce_dim: int, in_fmt: QFormat,
-                      weight_fmt: QFormat) -> bool:
-    """Whether a float64 BLAS GEMM reproduces the int64 matmul exactly.
-
-    Every product of a data word and a weight word is an integer of at
-    most ``in_bits + weight_bits`` magnitude, and any partial sum over
-    the reduction axis is bounded by ``K * max|d| * max|w|``.  When that
-    bound stays under 2^53 every intermediate value is an integer float64
-    represents exactly, so dgemm returns the same integers as the int64
-    kernel **regardless of its blocking or summation order** — and runs
-    an order of magnitude faster, since numpy's integer matmul cannot
-    use BLAS.
-    """
-    bound = float(reduce_dim) * float(in_fmt.max_int + 1) \
-        * float(weight_fmt.max_int + 1)
-    return bound < _FLOAT_EXACT_LIMIT
-
-
 def _pack(weight: AnyArray, in_fmt: QFormat,
           weight_fmt: QFormat) -> AnyArray:
     """``weight`` ``(Out, In)`` packed for ``columns @ pack``.
@@ -120,9 +99,10 @@ def _pack(weight: AnyArray, in_fmt: QFormat,
     The pack is the transposed view of a C-contiguous ``(Out, In)`` copy
     — the F-contiguous right-hand side numpy's matmul kernels want
     (contiguous along the reduction axis) — in the dtype the GEMM runs
-    in: float64 when :func:`_float_gemm_exact` holds, else int64.
+    in: float64 when :func:`~repro.fixedpoint.ops.float_gemm_exact`
+    holds, else int64.
     """
-    exact = _float_gemm_exact(weight.shape[1], in_fmt, weight_fmt)
+    exact = float_gemm_exact(weight.shape[1], in_fmt, weight_fmt)
     dtype = np.float64 if exact else np.int64
     return cast(AnyArray, np.ascontiguousarray(weight, dtype=dtype).T)
 

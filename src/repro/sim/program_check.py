@@ -76,9 +76,10 @@ def verify_program(program: ControlProgram) -> ProgramCheckReport:
 
     # Per-state cross-checks: selected patterns exist and their word
     # counts match the fold's declared traffic.
+    plan_for = program.plan_lookup()
     for state in program.coordinator.states:
         report.states_checked += 1
-        plan = program.plan_for(state.layer, state.phase_index)
+        plan = plan_for(state.layer, state.phase_index)
         main_words = sum(
             program.coordinator.main_table[i].footprint
             for i in state.main_patterns

@@ -22,6 +22,7 @@ from repro.fixedpoint.format import QFormat
 from repro.fixedpoint.ops import (
     accumulator_format,
     dequantize,
+    float_gemm_exact,
     quantize_to_ints,
     requantize,
     row_blocks,
@@ -257,18 +258,29 @@ class QuantizedExecutor:
                                             value_format=fmt)
         return self.luts[function]
 
+    def _gemm_dtype(self, reduce_dim: int, in_fmt: QFormat) -> type:
+        """float64 when :func:`~repro.fixedpoint.ops.float_gemm_exact`
+        proves a ``reduce_dim``-long dot product exact in it (the GEMM
+        then runs on BLAS), else int64 — the execution plan packs its
+        weights by the same predicate."""
+        if float_gemm_exact(reduce_dim, in_fmt, self.weight_format):
+            return np.float64
+        return np.int64
+
     def _mac_layer(self, raw: np.ndarray, in_fmt: QFormat, out_fmt: QFormat,
                    weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
         """Dot products in exact integer arithmetic, then requantize.
 
-        The weights widen to int64 a block of rows at a time; integer
-        sums are exact, so blocking does not change the result.
+        The weights widen to the GEMM dtype (:meth:`_gemm_dtype`) a block
+        of rows at a time; every partial sum is an exact integer, so
+        neither blocking nor the dtype changes the result.
         """
         acc_fmt = accumulator_format(in_fmt, self.weight_format)
-        x = np.ravel(raw).astype(np.int64)
+        dtype = self._gemm_dtype(weight.shape[1], in_fmt)
+        x = np.ravel(raw).astype(dtype)
         acc = np.empty(weight.shape[0], dtype=np.int64)
         for rows in row_blocks(weight):
-            acc[rows] = weight[rows].astype(np.int64) @ x
+            acc[rows] = weight[rows].astype(dtype) @ x
         if bias is not None:
             bias_shift = acc_fmt.fraction_bits - self.weight_format.fraction_bits
             acc = acc + (bias.astype(np.int64) << np.int64(bias_shift))
@@ -348,17 +360,18 @@ class QuantizedExecutor:
         groups = conv_groups(spec, raw.shape[0])
         cin_per_group = raw.shape[0] // groups
         dout_per_group = dout // groups
+        dtype = self._gemm_dtype(weight.size // dout, in_fmt)
         group_outputs = []
         for g in range(groups):
             image = raw[g * cin_per_group:(g + 1) * cin_per_group]
             kernels = weight[g * dout_per_group:(g + 1) * dout_per_group
                              ].reshape(dout_per_group, -1)
-            columns = F.im2col(image.astype(np.int64), spec.kernel_size,
+            columns = F.im2col(image.astype(dtype), spec.kernel_size,
                                spec.stride, spec.pad)
             acc = np.empty((columns.shape[0], dout_per_group),
                            dtype=np.int64)
             for rows in row_blocks(kernels):
-                acc[:, rows] = columns @ kernels[rows].T.astype(np.int64)
+                acc[:, rows] = columns @ kernels[rows].T.astype(dtype)
             if bias is not None:
                 shift = acc_fmt.fraction_bits - self.weight_format.fraction_bits
                 group_bias = bias[g * dout_per_group:(g + 1) * dout_per_group]

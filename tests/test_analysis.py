@@ -29,7 +29,11 @@ from repro.analysis import (
     rule,
     verify_artifacts,
 )
-from repro.analysis.ranges import _mac_bound, requantize_interval
+from repro.analysis.ranges import (
+    _mac_bound,
+    _signed_row_sums,
+    requantize_interval,
+)
 from repro.cli import main as cli_main
 from repro.compiler.patterns import AccessPattern
 from repro.errors import VerificationError
@@ -187,6 +191,29 @@ class TestRangeBounds:
         assert bound.acc == Interval(5 * -100 - 32768 * 50,
                                      5 * 50 + 32768 * 100)
         assert bound.exact and bound.terms == 2
+
+
+    def test_signed_row_sums_match_the_masked_formula(self):
+        fmt = QFormat(3, 12)
+        rng = np.random.default_rng(5)
+        matrix = rng.integers(fmt.min_int, fmt.max_int + 1, (6, 9),
+                              dtype=np.int64).astype(fmt.storage_dtype)
+        matrix[0] = fmt.min_int            # every entry min_int
+        matrix[1, ::2] = fmt.min_int       # min_int among mixed signs
+        matrix[2] = 0                      # all-zero row
+        matrix[3] = rng.integers(1, fmt.max_int + 1, 9)   # all positive
+        matrix[4] = rng.integers(fmt.min_int, 0, 9)       # all negative
+        matrix[4, 0] = fmt.min_int
+        assert matrix.dtype == np.int16
+        pos, neg = _signed_row_sums(matrix)
+        wide = matrix.astype(np.int64)
+        want_pos = np.sum(wide, axis=1, where=wide > 0)
+        np.testing.assert_array_equal(pos, want_pos)
+        np.testing.assert_array_equal(neg, np.sum(wide, axis=1) - want_pos)
+        assert pos.dtype == neg.dtype == np.int64
+        assert pos[0] == 0 and neg[0] == 9 * fmt.min_int
+        assert pos[2] == neg[2] == 0
+        assert neg[3] == 0 and pos[4] == 0
 
 
 class TestBrokenDesigns:

@@ -1,5 +1,7 @@
 """Integration tests for the DeepBurning compiler pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,19 @@ class TestFullCompile:
         program = DeepBurningCompiler().compile(mlp_design)
         with pytest.raises(CompileError):
             program.plan_for("nope", 0)
+        with pytest.raises(CompileError):
+            program.plan_lookup()("nope", 0)
+
+    def test_plan_lookup_matches_a_linear_scan(self, mlp_design):
+        program = DeepBurningCompiler().compile(mlp_design)
+        first = program.address_plans[0]
+        # A second plan for the same fold, listed later, never wins.
+        program.address_plans.append(copy.copy(first))
+        lookup = program.plan_lookup()
+        for plan in program.address_plans:
+            phase = plan.phase
+            want = next(p for p in program.address_plans
+                        if p.phase.layer == phase.layer
+                        and p.phase.phase_index == phase.phase_index)
+            assert lookup(phase.layer, phase.phase_index) is want
+        assert lookup(first.phase.layer, first.phase.phase_index) is first

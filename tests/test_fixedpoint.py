@@ -23,7 +23,7 @@ from repro.fixedpoint.calibrate import (
     merge_formats,
 )
 from repro.fixedpoint.format import DEFAULT_DATA_FORMAT, DEFAULT_WEIGHT_FORMAT
-from repro.fixedpoint.ops import check_exact, fixed_dot
+from repro.fixedpoint.ops import check_exact, fixed_dot, float_gemm_exact
 
 
 class TestQFormat:
@@ -190,6 +190,53 @@ class TestArithmetic:
     def test_check_exact_rejects(self):
         with pytest.raises(QuantizationError):
             check_exact(0.3, QFormat(3, 4))
+
+
+class TestFloatGemmBound:
+    """The 2^53 bound at its edge, on the worst-case operands."""
+
+    #: 24-bit words: |min_int| = 2^23, so one product reaches 2^46 and
+    #: the bound admits at most 127 terms.
+    FMT = QFormat(7, 16)
+
+    def largest_admitted(self):
+        k = 1
+        while float_gemm_exact(k + 1, self.FMT, self.FMT):
+            k += 1
+        return k
+
+    def test_largest_admitted_length_is_exact(self):
+        k = self.largest_admitted()
+        assert k == 127
+        assert not float_gemm_exact(k + 1, self.FMT, self.FMT)
+        # Every operand at min_int: every product and partial sum is as
+        # large as the bound allows.
+        data = np.full((3, k), self.FMT.min_int, dtype=np.int64)
+        weight = np.full((k, 2), self.FMT.min_int, dtype=np.int64)
+        exact = data @ weight
+        assert exact[0, 0] == k << 46
+        floated = data.astype(np.float64) @ weight.astype(np.float64)
+        np.testing.assert_array_equal(floated.astype(np.int64), exact)
+
+    def test_float_sum_rounds_past_the_bound(self):
+        """Two terms past the bound, the sum 2^53 + 1 has no float64."""
+        k = self.largest_admitted() + 2
+        data = np.full(k, self.FMT.min_int, dtype=np.int64)
+        weight = np.full(k, self.FMT.min_int, dtype=np.int64)
+        data[-1] = weight[-1] = 1
+        assert data @ weight == (1 << 53) + 1
+        floated = data.astype(np.float64) @ weight.astype(np.float64)
+        assert int(floated) != (1 << 53) + 1
+
+    @pytest.mark.parametrize("fmt", [QFormat(3, 12), QFormat(5, 10)])
+    def test_sixteen_bit_formats_admit_large_reductions(self, fmt):
+        # 2^15 * 2^15 = 2^30 per product: up to 2^23 - 1 terms.
+        assert float_gemm_exact((1 << 23) - 1, fmt, QFormat(3, 12))
+        assert not float_gemm_exact(1 << 23, fmt, QFormat(3, 12))
+
+    def test_q15_16_admits_nothing(self):
+        wide = QFormat(15, 16)
+        assert not float_gemm_exact(1, wide, wide)
 
 
 class TestCalibrate:

@@ -172,6 +172,70 @@ class TestRawSemantics:
         assert list(raw["c"]) == [1, 3]
 
 
+RECURRENT_TEXT = """
+layers { name: "data" type: DATA top: "d" param { dim: 4 } }
+layers { name: "rec" type: RECURRENT bottom: "d" top: "r"
+         param { num_output: 4 } connect { name: "l" direction: recurrent } }
+"""
+
+
+class TestGemmDtype:
+    """The oracle picks each GEMM's dtype by the plan's 2^53 predicate."""
+
+    @staticmethod
+    def executor(text, data_format, weight_format):
+        graph = load(text, format="prototxt")
+        from repro.frontend.shapes import infer_shapes
+        return QuantizedExecutor(
+            graph=graph,
+            weights=init_weights(graph, np.random.default_rng(0)),
+            blob_formats={b: data_format for b in infer_shapes(graph)},
+            weight_format=weight_format,
+        )
+
+    @staticmethod
+    def run_twice(executor, seed=3):
+        """Two calls, so a recurrent layer's feedback GEMM runs too."""
+        rng = np.random.default_rng(seed)
+        dims = executor._shapes[executor.graph.inputs()[0].tops[0]].dims
+        return [executor.forward_raw(rng.standard_normal(dims))
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("formats, dtype", [
+        ((QFormat(5, 10), QFormat(3, 12)), np.float64),
+        ((QFormat(15, 16), QFormat(15, 16)), np.int64),
+    ], ids=["q5.10-q3.12", "q15.16"])
+    @pytest.mark.parametrize("text, gemms", [
+        (CNN_TEXT, 4), (RECURRENT_TEXT, 3)], ids=["cnn", "recurrent"])
+    def test_gemm_dtype_follows_the_predicate(self, monkeypatch, formats,
+                                              dtype, text, gemms):
+        picked = []
+        original = QuantizedExecutor._gemm_dtype
+
+        def spy(self, reduce_dim, in_fmt):
+            picked.append(original(self, reduce_dim, in_fmt))
+            return picked[-1]
+
+        monkeypatch.setattr(QuantizedExecutor, "_gemm_dtype", spy)
+        self.run_twice(self.executor(text, *formats))
+        # cnn: conv + ip per call; recurrent: drive twice + feedback once.
+        assert len(picked) == gemms
+        assert set(picked) == {dtype}
+
+    @pytest.mark.parametrize("text", [CNN_TEXT, RECURRENT_TEXT],
+                             ids=["cnn", "recurrent"])
+    def test_float64_gemm_equals_int64_gemm(self, monkeypatch, text):
+        formats = (QFormat(5, 10), QFormat(3, 12))
+        floated = self.run_twice(self.executor(text, *formats))
+        monkeypatch.setattr(QuantizedExecutor, "_gemm_dtype",
+                            lambda self, reduce_dim, in_fmt: np.int64)
+        integer = self.run_twice(self.executor(text, *formats))
+        for got, want in zip(floated, integer):
+            assert got.keys() == want.keys()
+            for blob in want:
+                np.testing.assert_array_equal(got[blob], want[blob])
+
+
 class TestValidation:
     def test_missing_format_rejected(self):
         graph = load(MLP_TEXT, format="prototxt")
