@@ -25,7 +25,7 @@ Built-in rules: ``lint.duplicate-layer``, ``lint.dangling-blob``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.analysis.report import Finding, Severity
@@ -33,22 +33,23 @@ from repro.compiler.program import ControlProgram
 from repro.errors import DeepBurningError
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
-from repro.frontend.shapes import (
-    TensorShape,
-    infer_shapes,
-    infer_shapes_partial,
-)
+from repro.frontend.resolver import ResolvedGraph, lower
 from repro.nngen.design import AcceleratorDesign
 
 
 @dataclass
 class LintContext:
-    """Everything a lint rule may inspect."""
+    """Everything a lint rule may inspect; ``resolved`` is the design's
+    resolved graph, else the graph's non-raising lowering."""
 
     graph: NetworkGraph
-    shapes: dict[str, TensorShape] | None = None
     design: AcceleratorDesign | None = None
     program: ControlProgram | None = None
+    resolved: ResolvedGraph = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.resolved = (self.design.resolved if self.design is not None
+                         else lower(self.graph))
 
 
 LintRule = Callable[[LintContext], Iterable[Finding]]
@@ -150,14 +151,10 @@ def unused_input(ctx: LintContext) -> Iterator[Finding]:
 
 @rule("lint.shape-mismatch")
 def shape_mismatch(ctx: LintContext) -> Iterator[Finding]:
-    if ctx.shapes is not None:
-        return
-    try:
-        ctx.shapes = infer_shapes(ctx.graph)
-    except DeepBurningError as error:
+    if ctx.resolved.errors:
         yield _finding(
             "lint.shape-mismatch", Severity.ERROR, ctx.graph.name,
-            f"shape inference fails: {error}")
+            f"shape inference fails: {ctx.resolved.errors[0]}")
 
 
 @rule("lint.eltwise-arity")
@@ -173,9 +170,9 @@ def eltwise_arity(ctx: LintContext) -> Iterator[Finding]:
 
 @rule("lint.residual-mismatch")
 def residual_mismatch(ctx: LintContext) -> Iterator[Finding]:
-    # Partial inference still resolves the *branch* shapes when the
-    # join itself is what breaks full inference.
-    shapes = ctx.shapes or infer_shapes_partial(ctx.graph)
+    # Lowering still resolves the *branch* shapes when the join itself
+    # is what breaks resolution.
+    shapes = ctx.resolved.shapes
     for spec in ctx.graph.layers:
         if spec.kind is not LayerKind.ELTWISE:
             continue
@@ -191,7 +188,7 @@ def residual_mismatch(ctx: LintContext) -> Iterator[Finding]:
 
 @rule("lint.depthwise-multiplier")
 def depthwise_multiplier(ctx: LintContext) -> Iterator[Finding]:
-    shapes = ctx.shapes or infer_shapes_partial(ctx.graph)
+    shapes = ctx.resolved.shapes
     for spec in ctx.graph.layers:
         if spec.kind is not LayerKind.DEPTHWISE_CONVOLUTION \
                 or not spec.bottoms:
@@ -210,7 +207,7 @@ def depthwise_multiplier(ctx: LintContext) -> Iterator[Finding]:
 
 @rule("lint.concat-mismatch")
 def concat_mismatch(ctx: LintContext) -> Iterator[Finding]:
-    shapes = ctx.shapes or infer_shapes_partial(ctx.graph)
+    shapes = ctx.resolved.shapes
     for spec in ctx.graph.layers:
         if spec.kind is not LayerKind.CONCAT:
             continue
@@ -280,9 +277,9 @@ def lrn_size(ctx: LintContext) -> Iterator[Finding]:
 
 @rule("lint.format-missing")
 def format_missing(ctx: LintContext) -> Iterator[Finding]:
-    if ctx.program is None or ctx.shapes is None:
+    if ctx.program is None:
         return
-    for blob in ctx.shapes:
+    for blob in ctx.resolved.shapes:
         if blob not in ctx.program.blob_formats:
             yield _finding(
                 "lint.format-missing", Severity.ERROR, blob,

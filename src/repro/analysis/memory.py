@@ -66,7 +66,7 @@ class _MemoryPass:
     def __init__(self, program: ControlProgram) -> None:
         self.program = program
         self.memory_map = program.memory_map
-        self.graph = program.design.graph
+        self.resolved = program.design.resolved
         self.findings: list[Finding] = []
         #: name -> inclusive element span, for features and weights.
         self.feature_spans: dict[str, tuple[int, int]] = {
@@ -138,7 +138,7 @@ class _MemoryPass:
         return None
 
     def _check_plan(self, plan) -> None:
-        spec = self.graph.layer(plan.phase.layer)
+        spec = self.resolved.layer(plan.phase.layer)
         where = plan.event or f"{spec.name}#{plan.phase.phase_index}"
         total = self.memory_map.total_elements
         # Recurrent state is read from the output region, so feature

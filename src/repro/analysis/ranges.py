@@ -42,7 +42,6 @@ from repro.compiler.program import ControlProgram
 from repro.fixedpoint.format import QFormat
 from repro.fixedpoint.ops import accumulator_format, row_blocks
 from repro.frontend.layers import LayerKind, LayerSpec, PoolMethod
-from repro.frontend.shapes import weight_shape
 
 #: Worst-case sums at or beyond this magnitude can wrap the functional
 #: model's 64-bit host accumulator (one guard bit under ``2**63``).
@@ -178,8 +177,8 @@ class _RangePass:
     def __init__(self, program: ControlProgram) -> None:
         self.program = program
         design = program.design
-        self.graph = design.graph
-        self.shapes = design.shapes
+        self.resolved = design.resolved
+        self.shapes = design.resolved.shapes
         self.blob_formats = program.blob_formats
         self.weight_format = (program.weight_format
                               or design.datapath.weight_format)
@@ -293,10 +292,9 @@ class _RangePass:
         params = self._weights.get(spec.name, {})
         weight = params.get(array)
         bias = params.get("bias") if array == "weight" else None
-        out_size = self.shapes[spec.tops[0]].size if spec.tops \
-            and spec.tops[0] in self.shapes else spec.num_output
+        out_size = self.shapes[spec.tops[0]].size
         if array == "recurrent_weight":
-            rows = terms = out_size or spec.num_output
+            rows = terms = out_size
             in_fmt = self._fmt(spec.tops[0])
             assume_bias = False
         else:
@@ -305,10 +303,9 @@ class _RangePass:
             if weight is not None:
                 rows = spec.num_output if spec.kind.is_convolution \
                     else out_size
-                rows = rows or weight.shape[0]
                 terms = 0
             else:
-                shape = weight_shape(spec, self.shapes[spec.bottoms[0]])
+                shape = self.resolved.weight_shapes[spec.name]
                 rows = shape[0]
                 terms = int(np.prod(shape[1:]))
         acc_fmt = accumulator_format(in_fmt, self.weight_format)
@@ -377,8 +374,7 @@ class _RangePass:
         elif kind is LayerKind.SOFTMAX:
             out = _quantized_real(0.0, 1.0, out_fmt)
         elif kind is LayerKind.CLASSIFIER:
-            size = self.shapes[in_blob].size if in_blob in self.shapes else 1
-            out = Interval(0, max(0, size - 1))
+            out = Interval(0, max(0, self.shapes[in_blob].size - 1))
         elif kind is LayerKind.ELTWISE:
             # Mirrors the executor exactly: each input is requantized to
             # the output format, then summed with saturation after every
@@ -419,7 +415,7 @@ class _RangePass:
             self.intervals[top] = out
 
     def run(self) -> list[Finding]:
-        for spec in self.graph.topological_order():
+        for spec in self.resolved.layers:
             self._visit(spec)
         return self.findings
 

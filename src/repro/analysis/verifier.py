@@ -53,8 +53,8 @@ def analyze(
     design = program.design
     for name in selected:
         if name == "lint":
-            ctx = LintContext(graph=design.graph, shapes=design.shapes,
-                              design=design, program=program)
+            ctx = LintContext(graph=design.graph, design=design,
+                              program=program)
             findings = analyze_lint(ctx)
         elif name == "ranges":
             findings = analyze_ranges(program)

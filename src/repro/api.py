@@ -16,7 +16,7 @@ propagation on it::
 Since the stage-memoized pipeline (:mod:`repro.pipeline`) landed,
 ``build`` is a thin wrapper over a shared
 :class:`~repro.pipeline.BuildPipeline`: repeated builds of the same
-network reuse shape inference, weight init, weight quantization,
+network reuse graph resolution, weight init, weight quantization,
 generated designs and compiled control programs stage by stage, and the
 returned artifacts carry ``stage_seconds``/``stage_keys`` describing
 where the time went and which memoized intermediates they reference.
@@ -42,7 +42,6 @@ from repro.devices.device import Device, ResourceBudget
 from repro.fixedpoint.format import QFormat
 from repro.frontend import load as load_graph
 from repro.frontend.graph import NetworkGraph
-from repro.frontend.shapes import TensorShape
 from repro.nngen.design import AcceleratorDesign
 from repro.sim.accel import AcceleratorSimulator, SimulationResult
 
@@ -58,21 +57,20 @@ RANDOM_WEIGHTS = "random"
 class BuildArtifacts:
     """Everything the flow produced for one (network, budget) pair.
 
-    Immutable bundle of the parsed graph, inferred blob shapes, the
-    generated design, the compiled control program, the weights the
-    program was compiled against (``None`` for a weightless timing-only
-    build) and the resource budget.  Hand it to :func:`simulate`, to
+    Immutable bundle of the parsed graph, the generated design (with the
+    resolved graph), the compiled control program, the weights the program
+    was compiled against (``None`` for a weightless timing-only build) and
+    the resource budget.  Hand it to :func:`simulate`, to
     :mod:`repro.rtl.emit` for Verilog, or to the serving runtime.
     """
 
     graph: NetworkGraph
-    shapes: dict[str, TensorShape]
     design: AcceleratorDesign
     program: ControlProgram
     budget: ResourceBudget
     weights: dict[str, dict[str, np.ndarray]] | None = None
     seed: int = 0
-    #: Per-stage build time split (``parse_s``, ``shapes_s``,
+    #: Per-stage build time split (``parse_s``, ``resolve_s``,
     #: ``nngen_s``, ``quantize_s``, ``compile_s``); a stage served from
     #: the pipeline cache reads 0.0.  Diagnostic only — excluded from
     #: equality.
@@ -90,7 +88,7 @@ class BuildArtifacts:
 
     @property
     def input_shape(self) -> tuple[int, ...]:
-        return self.shapes[self.input_blob].dims
+        return self.design.resolved.shapes[self.input_blob].dims
 
     def random_input(self, seed: int | None = None) -> np.ndarray:
         """A uniform [-1, 1) input tensor of the network's input shape.

@@ -11,12 +11,13 @@ the small ANNs see the largest accelerator speedups (paper Fig. 8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
-from repro.frontend.shapes import infer_shapes, macs_for_layer, weight_shape
+from repro.frontend.resolver import resolve
 
 
 @dataclass(frozen=True)
@@ -38,20 +39,15 @@ class CPUModel:
 
     def forward_time_s(self, graph: NetworkGraph) -> float:
         """One forward propagation of the whole network."""
-        shapes = infer_shapes(graph)
+        resolved = resolve(graph)
         total = 0.0
         for spec in graph.layers:
             if spec.kind is LayerKind.DATA:
                 continue
-            in_shape = shapes[spec.bottoms[0]]
-            out_shape = shapes[spec.tops[0]] if spec.tops else in_shape
-            macs = macs_for_layer(spec, in_shape, out_shape)
-            flops = 2.0 * macs
+            flops = 2.0 * resolved.macs[spec.name]
             if spec.kind.has_weights:
                 compute = flops / self.effective_flops
-                weight_count = 1
-                for dim in weight_shape(spec, in_shape):
-                    weight_count *= dim
+                weight_count = math.prod(resolved.weight_shapes[spec.name])
                 memory = weight_count * 4.0 / self.memory_bandwidth
                 total += max(compute, memory)
             else:

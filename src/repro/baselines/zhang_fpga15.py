@@ -13,13 +13,14 @@ board memory bandwidth when asked for whole-network numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.devices.device import VX485T, Device
 from repro.errors import SimulationError
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
-from repro.frontend.shapes import infer_shapes, macs_for_layer, weight_shape
+from repro.frontend.resolver import resolve
 
 
 @dataclass(frozen=True)
@@ -39,45 +40,40 @@ class ZhangFPGA15:
 
     def conv_time_s(self, graph: NetworkGraph) -> float:
         """Time for the convolutional layers (what [7] reports)."""
-        shapes = infer_shapes(graph)
+        resolved = resolve(graph)
         total_cycles = 0.0
-        for spec in graph.layers:
+        for spec in resolved.graph.layers:
             if spec.kind is not LayerKind.CONVOLUTION:
                 continue
-            in_shape = shapes[spec.bottoms[0]]
-            out_shape = shapes[spec.tops[0]]
-            macs = macs_for_layer(spec, in_shape, out_shape)
+            in_shape = resolved.shapes[spec.bottoms[0]]
+            out_shape = resolved.shapes[spec.tops[0]]
+            macs = resolved.macs[spec.name]
             # Utilisation loss when channel counts don't divide the tiles.
             m_eff = -(-out_shape.channels // self.tile_m) * self.tile_m
             n_eff = -(-in_shape.channels // self.tile_n) * self.tile_n
             waste = (m_eff / out_shape.channels) * (n_eff / in_shape.channels)
             compute_cycles = macs * waste / self.macs_per_cycle
             traffic_bytes = 4.0 * (in_shape.size + out_shape.size)
-            weight_count = 1
-            for dim in weight_shape(spec, in_shape):
-                weight_count *= dim
-            traffic_bytes += 4.0 * weight_count
+            traffic_bytes += 4.0 * math.prod(
+                resolved.weight_shapes[spec.name])
             memory_cycles = traffic_bytes / (self.device.dram_bandwidth
                                              / self.device.clock_hz)
             total_cycles += max(compute_cycles, memory_cycles)
         if total_cycles == 0:
             raise SimulationError(
-                f"network '{graph.name}' has no convolutional layers for "
-                "the [7] accelerator"
+                f"network '{resolved.graph.name}' has no convolutional "
+                "layers for the [7] accelerator"
             )
         return total_cycles / self.device.clock_hz
 
     def forward_time_s(self, graph: NetworkGraph) -> float:
         """Whole-network time: conv on the array, FC at memory bandwidth."""
-        shapes = infer_shapes(graph)
+        resolved = resolve(graph)
         time = self.conv_time_s(graph)
-        for spec in graph.layers:
+        for spec in resolved.graph.layers:
             if spec.kind is not LayerKind.INNER_PRODUCT:
                 continue
-            in_shape = shapes[spec.bottoms[0]]
-            weight_count = 1
-            for dim in weight_shape(spec, in_shape):
-                weight_count *= dim
+            weight_count = math.prod(resolved.weight_shapes[spec.name])
             time += weight_count * 4.0 / self.device.dram_bandwidth
         return time
 

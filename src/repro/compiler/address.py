@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from repro.compiler.memmap import MemoryMap
 from repro.compiler.patterns import AccessPattern, infer_patterns
 from repro.errors import CompileError
-from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec
-from repro.frontend.shapes import infer_shapes
 from repro.nngen.design import AcceleratorDesign, FoldPhase
 
 
@@ -63,12 +61,8 @@ class AddressFlowGenerator:
     def __init__(self, design: AcceleratorDesign, memory_map: MemoryMap) -> None:
         self.design = design
         self.memory_map = memory_map
-        self.graph: NetworkGraph = design.graph
-        self.shapes = design.shapes or infer_shapes(design.graph)
-        self._layer_order = {
-            spec.name: index
-            for index, spec in enumerate(design.graph.topological_order())
-        }
+        self.resolved = design.resolved
+        self.shapes = design.resolved.shapes
 
     def plans(self) -> list[PhaseAddressPlan]:
         return [self._plan_phase(phase) for phase in self.design.folding]
@@ -76,8 +70,8 @@ class AddressFlowGenerator:
     # ------------------------------------------------------------------
 
     def _plan_phase(self, phase: FoldPhase) -> PhaseAddressPlan:
-        spec = self.graph.layer(phase.layer)
-        event = phase_event(phase, self._layer_order[spec.name])
+        spec = self.resolved.layer(phase.layer)
+        event = phase_event(phase, self.resolved.ids[spec.name])
         plan = PhaseAddressPlan(phase=phase, event=event)
         if spec.kind.is_convolution:
             self._conv_flows(spec, phase, plan)

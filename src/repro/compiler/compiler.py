@@ -17,7 +17,6 @@ from repro.compiler.reduce import reduce_agus
 from repro.errors import CompileError, LayoutError
 from repro.fixedpoint.calibrate import calibrate_format
 from repro.fixedpoint.ops import quantize_to_ints, row_blocks
-from repro.frontend.shapes import infer_shapes
 from repro.nn.reference import ReferenceNetwork
 from repro.nngen.design import AcceleratorDesign
 
@@ -41,8 +40,7 @@ class DeepBurningCompiler:
         weights: dict[str, dict[str, np.ndarray]] | None = None,
         calibration_inputs: list[np.ndarray] | None = None,
     ) -> ControlProgram:
-        graph = design.graph
-        memory_map = build_memory_map(graph, design.datapath.simd)
+        memory_map = build_memory_map(design.resolved, design.datapath.simd)
         generator = AddressFlowGenerator(design, memory_map)
         plans = generator.plans()
         coordinator = build_coordinator_program(design, plans)
@@ -72,13 +70,12 @@ class DeepBurningCompiler:
     # ------------------------------------------------------------------
 
     def _calibrate_blobs(self, design, weights, calibration_inputs):
-        graph = design.graph
-        shapes = design.shapes or infer_shapes(graph)
+        shapes = design.resolved.shapes
         default = design.datapath.data_format
         formats = {blob: default for blob in shapes}
         if weights is None or not calibration_inputs:
             return formats
-        net = ReferenceNetwork(graph, weights)
+        net = ReferenceNetwork(design.graph, weights)
         samples: dict[str, list[np.ndarray]] = {blob: [] for blob in shapes}
         for item in calibration_inputs:
             net.reset_state()

@@ -9,27 +9,14 @@ simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.compiler.layout import FeatureLayout, WeightLayout, method1_layout
 from repro.errors import LayoutError
-from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec
-from repro.frontend.shapes import TensorShape, infer_shapes, weight_shape
-
-
-def _consumer_geometry(graph: NetworkGraph, blob: str) -> tuple[int, int]:
-    """(kernel, stride) of the window sweep that consumes ``blob``.
-
-    When several layers consume the blob, the first windowed consumer
-    wins (its locality matters most); non-windowed consumers read the
-    blob linearly and are insensitive to tiling.
-    """
-    for spec in graph.layers:
-        if blob in spec.bottoms and (spec.kind.is_convolution
-                                     or spec.kind is LayerKind.POOLING):
-            return spec.kernel_size, spec.stride
-    return 1, 1
+from repro.frontend.resolver import ResolvedGraph
+from repro.frontend.shapes import TensorShape
 
 
 @dataclass
@@ -63,10 +50,10 @@ class MemoryMap:
         return base + layout.address_of(map_index, y, x)
 
 
-def _layout_for_blob(graph: NetworkGraph, blob: str, shape: TensorShape,
-                     port_width: int) -> FeatureLayout:
+def _layout_for_blob(resolved: ResolvedGraph, blob: str,
+                     shape: TensorShape, port_width: int) -> FeatureLayout:
     if shape.is_spatial:
-        kernel, stride = _consumer_geometry(graph, blob)
+        kernel, stride = resolved.windows.get(blob, (1, 1))
         return method1_layout(shape.channels, shape.height, shape.width,
                               kernel=max(1, kernel), stride=max(1, stride),
                               port_width=port_width)
@@ -74,35 +61,27 @@ def _layout_for_blob(graph: NetworkGraph, blob: str, shape: TensorShape,
 
 
 def _weight_dims(spec: LayerSpec,
-                 in_shape: TensorShape) -> tuple[int, int, int]:
+                 dims: tuple[int, ...]) -> tuple[int, int, int]:
     """(rows, depth, recurrent_depth) of one layer's weight region."""
-    dims = weight_shape(spec, in_shape)
-    rows = dims[0]
-    depth = 1
-    for d in dims[1:]:
-        depth *= d
-    recurrent = 0
-    if spec.kind is LayerKind.RECURRENT:
-        # The state-feedback matrix is stored as extra depth per row so
-        # each output neuron's weights stay contiguous.
-        recurrent = spec.num_output
-    return rows, depth + recurrent, recurrent
+    # The state-feedback matrix is stored as extra depth per row so
+    # each output neuron's weights stay contiguous.
+    recurrent = spec.num_output if spec.kind is LayerKind.RECURRENT else 0
+    return dims[0], math.prod(dims[1:]) + recurrent, recurrent
 
 
-def build_memory_map(graph: NetworkGraph, port_width: int) -> MemoryMap:
+def build_memory_map(resolved: ResolvedGraph, port_width: int) -> MemoryMap:
     """Lay every blob and weight tensor out in element-addressed DRAM."""
     if port_width < 1:
         raise LayoutError("port width must be at least one element")
-    shapes = infer_shapes(graph)
     memory_map = MemoryMap()
     cursor = 0
-    for blob, shape in shapes.items():
-        layout = _layout_for_blob(graph, blob, shape, port_width)
+    for blob, shape in resolved.shapes.items():
+        layout = _layout_for_blob(resolved, blob, shape, port_width)
         memory_map.feature_regions[blob] = (cursor, layout)
         cursor += layout.total_elements
-    for spec in graph.weighted_layers():
-        in_shape = shapes[spec.bottoms[0]]
-        rows, depth, recurrent = _weight_dims(spec, in_shape)
+    for spec in resolved.graph.weighted_layers():
+        rows, depth, recurrent = _weight_dims(
+            spec, resolved.weight_shapes[spec.name])
         region = WeightLayout(layer=spec.name, base_address=cursor,
                               rows=rows, depth=depth, has_bias=spec.bias,
                               recurrent_depth=recurrent)

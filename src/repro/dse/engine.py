@@ -276,8 +276,8 @@ def _design_group_key(pipe: BuildPipeline, graph: NetworkGraph, fp: str,
                       point.weight_bits)
         config = configs.get(config_key)
         if config is None:
-            config, _ = pipe.datapath(graph, fp, budget, point.data_format,
-                                      point.weight_format)
+            config, _ = pipe.datapath(pipe.resolve(graph, fp), fp, budget,
+                                      point.data_format, point.weight_format)
             configs[config_key] = config
         config = NNGen.apply_caps(config, point.max_lanes, point.max_simd)
         keys = memo.setdefault("key", {})
@@ -303,11 +303,11 @@ def _prime_parent(pipe: BuildPipeline, graph: NetworkGraph, fp: str,
     report it as structured infeasible results, exactly like a serial
     sweep.
     """
-    pipe.shapes(graph, fp)
+    resolved = pipe.resolve(graph, fp)
     if not spec.functional:
         return
     try:
-        pipe.weights(graph, fp, spec.seed)
+        pipe.weights(resolved, fp, spec.seed)
     except DeepBurningError:
         pass
 

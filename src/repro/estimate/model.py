@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compiler.layout import choose_tile_side
-from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec
 from repro.nngen.design import AcceleratorDesign, FoldPhase
 from repro.sim.accel import PhaseTraffic, SimulationResult, pipeline_timing
@@ -61,30 +60,20 @@ class AnalyticEstimator:
 
     # --- per-layer constants ------------------------------------------
 
-    def _consumer_geometry(self, graph: NetworkGraph,
-                           blob: str) -> tuple[int, int]:
-        """(kernel, stride) of the window sweep consuming ``blob`` —
-        the memory map's tiling rule (first windowed consumer wins)."""
-        for spec in graph.layers:
-            if blob in spec.bottoms and (spec.kind.is_convolution
-                                         or spec.kind is LayerKind.POOLING):
-                return spec.kernel_size, spec.stride
-        return 1, 1
-
     def _context(self, layer: str) -> _LayerContext:
         context = self._layers.get(layer)
         if context is not None:
             return context
-        design = self.design
-        spec = design.graph.layer(layer)
+        resolved = self.design.resolved
+        shapes = resolved.shapes
+        spec = resolved.layer(layer)
         if spec.kind.is_convolution:
             # The data AGU walks Method-1 tiles of the input blob; the
             # tile side follows the layout rule the memory map applied.
-            in_shape = design.shapes[spec.bottoms[0]]
-            kernel, stride = self._consumer_geometry(design.graph,
-                                                     spec.bottoms[0])
+            in_shape = shapes[spec.bottoms[0]]
+            kernel, stride = resolved.windows.get(spec.bottoms[0], (1, 1))
             side, _ = choose_tile_side(max(1, kernel), max(1, stride),
-                                       port_width=design.datapath.simd)
+                                       port_width=self.design.datapath.simd)
             side = max(1, min(side, in_shape.height, in_shape.width))
             k = spec.kernel_size
             window_words = ((-(-k // side)) ** 2 * side * side) \
@@ -92,16 +81,16 @@ class AnalyticEstimator:
             context = _LayerContext(
                 spec=spec,
                 window_words=window_words,
-                out_width=design.shapes[spec.tops[0]].width,
+                out_width=shapes[spec.tops[0]].width,
             )
         elif spec.kind in (LayerKind.INNER_PRODUCT, LayerKind.RECURRENT,
                            LayerKind.ASSOCIATIVE):
             context = _LayerContext(
-                spec=spec, in_size=design.shapes[spec.bottoms[0]].size)
+                spec=spec, in_size=shapes[spec.bottoms[0]].size)
         elif spec.kind is LayerKind.ELTWISE:
             context = _LayerContext(
                 spec=spec,
-                eltwise_words=tuple(design.shapes[blob].size
+                eltwise_words=tuple(shapes[blob].size
                                     for blob in spec.bottoms))
         else:
             context = _LayerContext(spec=spec)

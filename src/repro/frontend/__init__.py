@@ -7,8 +7,8 @@ backends ship in-tree: the Caffe-compatible descriptive script
 blocks for recurrent wiring) and an ONNX-style JSON graph format
 (:mod:`repro.frontend.onnx`).  Both lower into the same typed layer list
 (:mod:`repro.frontend.layers`) and network graph IR
-(:mod:`repro.frontend.graph`), with blob shape inference in
-:mod:`repro.frontend.shapes`.
+(:mod:`repro.frontend.graph`), which :func:`resolve` lowers once into
+the :class:`ResolvedGraph` every later stage reads.
 """
 
 from repro.frontend.prototxt import parse_prototxt, parse_prototxt_file, Message
@@ -25,6 +25,7 @@ from repro.frontend.graph import (
     build_graph_from_layers,
 )
 from repro.frontend.shapes import TensorShape, conv_groups, infer_shapes
+from repro.frontend.resolver import ResolvedGraph, resolve
 from repro.frontend.registry import (
     AUTO,
     Frontend,
@@ -52,6 +53,8 @@ __all__ = [
     "TensorShape",
     "conv_groups",
     "infer_shapes",
+    "ResolvedGraph",
+    "resolve",
     "AUTO",
     "Frontend",
     "GraphSource",

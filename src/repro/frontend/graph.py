@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.errors import DeepBurningError, GraphError
+from repro.errors import GraphError
 from repro.frontend.layers import (
     ConnectDirection,
     LayerKind,
@@ -106,11 +106,10 @@ class NetworkGraph:
 
     def outputs(self) -> list[LayerSpec]:
         """Layers whose tops feed nothing else."""
-        consumed = set(self.consumers())
+        consumers = self.consumers()
         outs = []
         for spec in self.layers:
-            if spec.tops and all(top not in consumed or
-                                 self.consumers()[top] == [spec.name]
+            if spec.tops and all(consumers.get(top, [spec.name]) == [spec.name]
                                  for top in spec.tops):
                 # A blob consumed only by its own producer (in-place) still
                 # counts as a network output.
@@ -121,33 +120,14 @@ class NetworkGraph:
         """Layers in dependency order, following forward edges only.
 
         In-place layers (top == bottom) are kept in file order relative to
-        each other, matching Caffe's execution semantics.
+        each other, matching Caffe's execution semantics.  The order is
+        the resolver's; raises :class:`GraphError` on a forward cycle.
         """
-        order: list[LayerSpec] = []
-        placed: set[str] = set()
-        available_blobs: set[str] = set()
-        pending = list(self.layers)
-        while pending:
-            progressed = False
-            remaining: list[LayerSpec] = []
-            for spec in pending:
-                needed = [b for b in spec.bottoms if b not in available_blobs]
-                # A bottom that is also produced by this very layer
-                # (in-place on a blob nothing else produced) counts as
-                # unavailable — that would be a self-loop.
-                if needed:
-                    remaining.append(spec)
-                    continue
-                order.append(spec)
-                placed.add(spec.name)
-                available_blobs.update(spec.tops)
-                progressed = True
-            if not progressed:
-                stuck = ", ".join(spec.name for spec in remaining)
-                raise GraphError(
-                    f"forward graph has a cycle or dangling blob among: {stuck}"
-                )
-            pending = remaining
+        from repro.frontend.resolver import place
+
+        order, stuck = place(self)
+        if stuck is not None:
+            raise stuck
         return order
 
     def validate(self) -> None:
@@ -197,7 +177,7 @@ class NetworkGraph:
         import hashlib
         import json
 
-        from repro.frontend.shapes import infer_shapes
+        from repro.frontend.resolver import lower
 
         def layer_record(spec: LayerSpec) -> dict[str, object]:
             return {
@@ -229,13 +209,10 @@ class NetworkGraph:
                 ],
             }
 
-        try:
-            shapes = {
-                blob: list(shape.dims)
-                for blob, shape in infer_shapes(self).items()
-            }
-        except DeepBurningError:
-            shapes = {}
+        resolved = lower(self)
+        shapes = {} if resolved.errors else {
+            blob: list(shape.dims) for blob, shape in resolved.shapes.items()
+        }
         record = {
             "layers": sorted(
                 (layer_record(spec) for spec in self.layers),

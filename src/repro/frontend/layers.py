@@ -177,6 +177,13 @@ class LayerSpec:
                 raise ParseError(f"layer '{self.name}' needs stride > 0")
             if self.pad < 0:
                 raise ParseError(f"layer '{self.name}' needs pad >= 0")
+        if self.kind is LayerKind.CONVOLUTION and self.group > 0 \
+                and self.num_output % self.group != 0:
+            raise ParseError(
+                f"layer '{self.name}': num_output {self.num_output} is not "
+                f"divisible by group {self.group}; every group needs the "
+                "same number of output channels"
+            )
         if self.kind is LayerKind.DEPTHWISE_CONVOLUTION and self.group != 1:
             raise ParseError(
                 f"layer '{self.name}': depthwise convolution derives its group "

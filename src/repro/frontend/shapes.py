@@ -1,4 +1,4 @@
-"""Blob shape inference over the network graph.
+"""Blob shapes and the per-layer shape rules the resolver applies.
 
 Shapes use the Caffe convention ``(channels, height, width)`` for spatial
 blobs and ``(features,)`` for flat blobs; the batch dimension is implicit
@@ -104,7 +104,8 @@ def conv_groups(spec: LayerSpec, in_channels: int) -> int:
     return spec.group
 
 
-def _infer_layer(spec: LayerSpec, inputs: list[TensorShape]) -> TensorShape:
+def infer_layer(spec: LayerSpec, inputs: list[TensorShape]) -> TensorShape:
+    """One layer's output shape; raises :class:`ShapeError` naming it."""
     kind = spec.kind
     if kind is LayerKind.DATA:
         if not spec.input_shape:
@@ -143,6 +144,11 @@ def _infer_layer(spec: LayerSpec, inputs: list[TensorShape]) -> TensorShape:
         return first.flat()
 
     if kind is LayerKind.CLASSIFIER:
+        if spec.top_k > first.size:
+            raise ShapeError(
+                f"classifier '{spec.name}': top_k {spec.top_k} exceeds its "
+                f"{first.size} input features"
+            )
         return TensorShape((spec.top_k,))
 
     if kind is LayerKind.CONCAT:
@@ -186,64 +192,8 @@ def _infer_layer(spec: LayerSpec, inputs: list[TensorShape]) -> TensorShape:
 
 def infer_shapes(graph: NetworkGraph) -> dict[str, TensorShape]:
     """Infer the shape of every blob; returns ``blob name -> shape``."""
-    shapes: dict[str, TensorShape] = {}
-    for spec in graph.topological_order():
-        input_shapes = []
-        for bottom in spec.bottoms:
-            if bottom not in shapes:
-                raise ShapeError(
-                    f"layer '{spec.name}' reads blob '{bottom}' before it exists"
-                )
-            input_shapes.append(shapes[bottom])
-        out_shape = _infer_layer(spec, input_shapes)
-        for top in spec.tops:
-            shapes[top] = out_shape
-    return shapes
-
-
-def infer_shapes_partial(graph: NetworkGraph) -> dict[str, TensorShape]:
-    """Best-effort shape inference that skips layers that fail.
-
-    Unlike :func:`infer_shapes` this never raises: a layer whose rule
-    errors (or whose inputs are unknown) simply contributes no blob
-    shapes, and propagation continues downstream where possible.  Lint
-    rules use this to pinpoint the *specific* structural defect in a
-    graph whose full inference already failed.
-    """
-    shapes: dict[str, TensorShape] = {}
-    try:
-        order = graph.topological_order()
-    except Exception:
-        order = graph.layers
-    for spec in order:
-        if any(bottom not in shapes for bottom in spec.bottoms):
-            continue
-        try:
-            out_shape = _infer_layer(spec, [shapes[b] for b in spec.bottoms])
-        except ShapeError:
-            continue
-        for top in spec.tops:
-            shapes[top] = out_shape
-    return shapes
-
-
-def layer_output_shapes(graph: NetworkGraph) -> dict[str, TensorShape]:
-    """Shape of each layer's (first) output blob, keyed by layer name."""
-    blob_shapes = infer_shapes(graph)
-    out: dict[str, TensorShape] = {}
-    for spec in graph.layers:
-        if spec.tops:
-            out[spec.name] = blob_shapes[spec.tops[0]]
-    return out
-
-
-def layer_input_shape(graph: NetworkGraph, layer_name: str) -> TensorShape:
-    """Shape of a layer's first input blob."""
-    blob_shapes = infer_shapes(graph)
-    spec = graph.layer(layer_name)
-    if not spec.bottoms:
-        raise ShapeError(f"layer '{layer_name}' has no inputs")
-    return blob_shapes[spec.bottoms[0]]
+    from repro.frontend.resolver import resolve
+    return resolve(graph).shapes
 
 
 def weight_shape(spec: LayerSpec, input_shape: TensorShape) -> tuple[int, ...]:

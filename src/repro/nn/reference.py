@@ -14,12 +14,8 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec, PoolMethod
-from repro.frontend.shapes import (
-    TensorShape,
-    conv_groups,
-    infer_shapes,
-    weight_shape,
-)
+from repro.frontend.resolver import ResolvedGraph, resolve
+from repro.frontend.shapes import conv_groups
 from repro.nn import functional as F
 
 LayerWeights = dict[str, np.ndarray]
@@ -29,14 +25,15 @@ def init_weights(
     graph: NetworkGraph,
     rng: np.random.Generator | None = None,
     scale: float = 0.1,
+    lowered: ResolvedGraph | None = None,
 ) -> dict[str, LayerWeights]:
-    """Random (Gaussian) weights for every weighted layer in the graph."""
+    """Random (Gaussian) weights for every weighted layer in the graph
+    (``lowered``: ``graph`` already resolved, if the caller holds it)."""
     rng = rng or np.random.default_rng(0)
-    shapes = infer_shapes(graph)
+    resolved = lowered or resolve(graph)
     weights: dict[str, LayerWeights] = {}
     for spec in graph.weighted_layers():
-        in_shape = shapes[spec.bottoms[0]] if spec.bottoms else TensorShape((1,))
-        wshape = weight_shape(spec, in_shape)
+        wshape = resolved.weight_shapes[spec.name]
         entry: LayerWeights = {
             "weight": rng.normal(0.0, scale, size=wshape),
         }
@@ -61,10 +58,10 @@ class ReferenceNetwork:
     #: matching what the generated accelerator does at inference time.
     training: bool = False
     state: dict[str, np.ndarray] = field(default_factory=dict)
+    resolved: ResolvedGraph = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._shapes = infer_shapes(self.graph)
-        self._order = self.graph.topological_order()
+        self.resolved = resolve(self.graph)
         missing = [
             spec.name
             for spec in self.graph.weighted_layers()
@@ -92,7 +89,7 @@ class ReferenceNetwork:
                 )
             inputs = {data_layers[0].tops[0]: inputs}
         for blob_name, value in inputs.items():
-            expected = self._shapes[blob_name]
+            expected = self.resolved.shapes[blob_name]
             value = np.asarray(value, dtype=np.float64)
             if value.shape != expected.dims:
                 if value.size == expected.size:
@@ -104,7 +101,7 @@ class ReferenceNetwork:
                     )
             blobs[blob_name] = value
 
-        for spec in self._order:
+        for spec in self.resolved.layers:
             if spec.kind is LayerKind.DATA:
                 if spec.tops[0] not in blobs:
                     raise ShapeError(f"no input bound to blob '{spec.tops[0]}'")

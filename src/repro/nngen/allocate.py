@@ -13,6 +13,7 @@ overflowing sum back inside the budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.components.accumulator import AccumulatorArray
@@ -32,6 +33,7 @@ from repro.errors import ResourceError
 from repro.fixedpoint.format import QFormat
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
+from repro.frontend.resolver import ResolvedGraph
 from repro.nngen.design import DatapathConfig
 
 #: Fraction of budget BRAM granted to the two main buffers (the rest is
@@ -210,7 +212,7 @@ def _next_pow2(value: int) -> int:
     return result
 
 
-def parallelism_caps(graph: NetworkGraph) -> tuple[int, int]:
+def parallelism_caps(resolved: ResolvedGraph) -> tuple[int, int]:
     """Largest useful (lanes, simd) for a network.
 
     Lanes parallelise output values of one fold; simd parallelises the
@@ -218,28 +220,22 @@ def parallelism_caps(graph: NetworkGraph) -> tuple[int, int]:
     idle, so NN-Gen never pays for it (this is why the tiny ANN rows of
     paper Table 3 use only a couple of DSPs).
     """
-    from repro.frontend.shapes import conv_groups, infer_shapes
-    shapes = infer_shapes(graph)
-    max_outputs = 1
-    max_depth = 1
-    for spec in graph.layers:
-        if spec.kind.is_convolution:
-            out = shapes[spec.tops[0]]
-            max_outputs = max(max_outputs, out.size)
-            in_channels = shapes[spec.bottoms[0]].channels
-            depth = spec.kernel_size ** 2 * (
-                in_channels // conv_groups(spec, in_channels))
+    max_outputs = max_depth = 1
+    for spec in resolved.graph.layers:
+        if spec.kind.has_weights:
+            # A weight row holds one output's dot-product depth.
+            depth = math.prod(resolved.weight_shapes[spec.name][1:])
             max_depth = max(max_depth, depth)
-        elif spec.kind.has_weights:
+        if spec.kind.has_weights and not spec.kind.is_convolution:
             max_outputs = max(max_outputs, spec.num_output)
-            max_depth = max(max_depth, shapes[spec.bottoms[0]].size)
         elif spec.tops:
-            max_outputs = max(max_outputs, shapes[spec.tops[0]].size)
+            max_outputs = max(max_outputs,
+                              resolved.shapes[spec.tops[0]].size)
     return _next_pow2(max_outputs), _next_pow2(max_depth)
 
 
 def choose_datapath(
-    graph: NetworkGraph,
+    resolved: ResolvedGraph,
     budget: ResourceBudget,
     data_format: QFormat,
     weight_format: QFormat,
@@ -259,8 +255,8 @@ def choose_datapath(
     budget is skipped before its other blocks are built — exact, since
     component costs are non-negative.
     """
-    needs = NetworkNeeds.of(graph)
-    max_lanes, max_simd = parallelism_caps(graph)
+    needs = NetworkNeeds.of(resolved.graph)
+    max_lanes, max_simd = parallelism_caps(resolved)
     lanes = 1
     lane_options = []
     while lanes <= min(512, max_lanes):

@@ -11,7 +11,7 @@ from repro.errors import ResourceError
 from repro.fixedpoint.format import QFormat
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
-from repro.frontend.shapes import TensorShape
+from repro.frontend.resolver import ResolvedGraph
 
 
 @dataclass(frozen=True)
@@ -134,19 +134,22 @@ class FoldingPlan:
 class AcceleratorDesign:
     """A complete generated accelerator, pre-compilation.
 
-    ``components`` maps instance names to configured library blocks;
-    ``folding`` is the fold plan the compiler schedules; ``shapes``
-    caches blob shapes so downstream stages don't re-infer them.
+    ``resolved`` is the network's resolved graph; ``components`` maps
+    instance names to configured library blocks; ``folding`` is the
+    fold plan the compiler schedules.
     """
 
-    graph: NetworkGraph
+    resolved: ResolvedGraph
     budget: ResourceBudget
     datapath: DatapathConfig
     components: dict[str, Component]
     folding: FoldingPlan
-    shapes: dict[str, TensorShape]
     feature_buffer: str = "feature_buffer"
     weight_buffer: str = "weight_buffer"
+
+    @property
+    def graph(self) -> NetworkGraph:
+        return self.resolved.graph
 
     def component(self, instance: str) -> Component:
         try:

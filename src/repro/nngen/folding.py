@@ -14,9 +14,9 @@ is the double-buffering shadow.
 from __future__ import annotations
 
 from repro.errors import ResourceError
-from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec
-from repro.frontend.shapes import TensorShape, conv_groups, infer_shapes
+from repro.frontend.resolver import ResolvedGraph
+from repro.frontend.shapes import TensorShape, conv_groups
 from repro.nngen.design import DatapathConfig, FoldPhase, FoldingPlan
 
 
@@ -231,7 +231,7 @@ def _elementwise_fold(
 
 
 def build_folding_plan(
-    graph: NetworkGraph,
+    resolved: ResolvedGraph,
     config: DatapathConfig,
     feature_capacity_words: int,
     weight_capacity_words: int,
@@ -243,9 +243,9 @@ def build_folding_plan(
     """
     if feature_capacity_words < 1 or weight_capacity_words < 1:
         raise ResourceError("buffers must hold at least one word")
-    shapes = infer_shapes(graph)
+    shapes = resolved.shapes
     phases: list[FoldPhase] = []
-    for spec in graph.topological_order():
+    for spec in resolved.layers:
         if spec.kind is LayerKind.DATA:
             continue
         in_shape = shapes[spec.bottoms[0]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.components.library import ComponentLibrary, blocks_for_layer, \
     default_library
 from repro.devices.device import ResourceBudget
@@ -13,7 +15,7 @@ from repro.fixedpoint.format import (
 )
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
-from repro.frontend.shapes import infer_shapes, weight_shape
+from repro.frontend.resolver import ResolvedGraph, resolve
 from repro.nngen.allocate import (
     NetworkNeeds,
     buffer_components,
@@ -63,15 +65,16 @@ class NNGen:
 
         Composition of the staged entry points the memoizing build
         pipeline (:mod:`repro.pipeline`) calls individually:
-        :meth:`validate_knobs` → :meth:`datapath` → :meth:`apply_caps`
-        → :meth:`realise_design`.
+        :meth:`validate_knobs` → :func:`~repro.frontend.resolver.resolve`
+        → :meth:`datapath` → :meth:`apply_caps` → :meth:`realise_design`.
         """
         self.validate_knobs(max_lanes=max_lanes, max_simd=max_simd,
                             fold_capacity_scale=fold_capacity_scale)
-        config = self.datapath(graph, budget, data_format=data_format,
+        resolved = resolve(graph)
+        config = self.datapath(resolved, budget, data_format=data_format,
                                weight_format=weight_format)
         config = self.apply_caps(config, max_lanes, max_simd)
-        return self.realise_design(graph, budget, config,
+        return self.realise_design(resolved, budget, config,
                                    fold_capacity_scale)
 
     @staticmethod
@@ -88,27 +91,26 @@ class NNGen:
                 f"max_lanes={max_lanes} max_simd={max_simd}"
             )
 
-    def datapath(self, graph: NetworkGraph, budget: ResourceBudget,
+    def datapath(self, resolved: ResolvedGraph, budget: ResourceBudget,
                  data_format: QFormat = DEFAULT_DATA_FORMAT,
                  weight_format: QFormat = DEFAULT_WEIGHT_FORMAT,
                  ) -> DatapathConfig:
-        """Validate the graph and choose the budget-driven datapath.
+        """Check layer support and choose the budget-driven datapath.
 
         Pure function of (graph, budget, formats) — the pipeline
         memoizes it so a cap sweep pays the datapath search once.
         """
-        graph.validate()
-        self._check_layer_support(graph)
-        feature_demand, weight_demand = self._demands(graph, data_format,
+        self._check_layer_support(resolved.graph)
+        feature_demand, weight_demand = self._demands(resolved, data_format,
                                                       weight_format)
         return choose_datapath(
-            graph, budget, data_format, weight_format,
+            resolved, budget, data_format, weight_format,
             feature_demand_bits=feature_demand,
             weight_demand_bits=weight_demand,
         )
 
-    def realise_design(self, graph: NetworkGraph, budget: ResourceBudget,
-                       config: DatapathConfig,
+    def realise_design(self, resolved: ResolvedGraph,
+                       budget: ResourceBudget, config: DatapathConfig,
                        fold_capacity_scale: float = 1.0,
                        ) -> AcceleratorDesign:
         """Realise a design for an (already capped) datapath choice.
@@ -118,12 +120,11 @@ class NNGen:
         the realised design overflows the budget, back the datapath off
         and re-fold until it fits.
         """
-        shapes = infer_shapes(graph)
         feature_demand, weight_demand = self._demands(
-            graph, config.data_format, config.weight_format)
-        needs = NetworkNeeds.of(graph)
+            resolved, config.data_format, config.weight_format)
+        needs = NetworkNeeds.of(resolved.graph)
         while True:
-            design = self._realise(graph, budget, config, needs, shapes,
+            design = self._realise(resolved, budget, config, needs,
                                    feature_demand, weight_demand,
                                    fold_capacity_scale)
             used = design.resource_report()
@@ -146,7 +147,8 @@ class NNGen:
             else:
                 raise ResourceError(
                     f"budget {budget.label} cannot fit the minimal design "
-                    f"for '{graph.name}' (needs {used}, has {budget.limit})"
+                    f"for '{resolved.graph.name}' (needs {used}, has "
+                    f"{budget.limit})"
                 )
 
     @staticmethod
@@ -163,7 +165,7 @@ class NNGen:
             accumulator_width=config.accumulator_width,
         )
 
-    def _realise(self, graph, budget, config, needs, shapes,
+    def _realise(self, resolved, budget, config, needs,
                  feature_demand, weight_demand,
                  fold_capacity_scale: float = 1.0) -> AcceleratorDesign:
         components = dict(functional_components(config, needs))
@@ -184,7 +186,7 @@ class NNGen:
         feature_capacity = max(1, int(feature_capacity
                                       * fold_capacity_scale))
         weight_capacity = max(1, int(weight_capacity * fold_capacity_scale))
-        folding = build_folding_plan(graph, config, feature_capacity,
+        folding = build_folding_plan(resolved, config, feature_capacity,
                                      weight_capacity)
 
         # Control scales with the number of layer templates, not folds:
@@ -197,12 +199,11 @@ class NNGen:
         ))
 
         return AcceleratorDesign(
-            graph=graph,
+            resolved=resolved,
             budget=budget,
             datapath=config,
             components=components,
             folding=folding,
-            shapes=shapes,
         )
 
     # ------------------------------------------------------------------
@@ -219,23 +220,15 @@ class NNGen:
                 )
 
     @staticmethod
-    def _demands(graph: NetworkGraph, data_format: QFormat,
+    def _demands(resolved: ResolvedGraph, data_format: QFormat,
                  weight_format: QFormat) -> tuple[int, int]:
         """Peak feature and weight working-set sizes, in bits."""
-        shapes = infer_shapes(graph)
-        feature_peak = 0
-        weight_peak = 0
-        for spec in graph.layers:
-            live = 0
-            for blob in (*spec.bottoms, *spec.tops):
-                live += shapes[blob].size
-            feature_peak = max(feature_peak, live)
-            if spec.kind.has_weights and spec.bottoms:
-                wshape = weight_shape(spec, shapes[spec.bottoms[0]])
-                count = 1
-                for dim in wshape:
-                    count *= dim
-                weight_peak = max(weight_peak, count)
+        feature_peak = max(
+            (sum(resolved.shapes[blob].size
+                 for blob in (*spec.bottoms, *spec.tops))
+             for spec in resolved.graph.layers), default=0)
+        weight_peak = max(map(math.prod, resolved.weight_shapes.values()),
+                          default=0)
         if feature_peak == 0:
             raise ResourceError("network moves no feature data")
         return (feature_peak * data_format.total_bits,

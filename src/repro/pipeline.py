@@ -4,7 +4,7 @@
 → compile chain monolithically: every call paid for every stage, even
 when forty design-space points shared the same network, seed and weight
 format and differed only in the budget knobs.  :class:`BuildPipeline`
-splits the flow into explicit stages — shape inference, weight init,
+splits the flow into explicit stages — graph resolution, weight init,
 datapath selection, design realisation, control-program compilation,
 DRAM-image quantization — and memoizes each stage in a
 :class:`StageCache` under a key derived from *exactly* the inputs that
@@ -13,7 +13,7 @@ stage depends on:
 ========== =========================================================
 stage      key components
 ========== =========================================================
-shapes     graph fingerprint
+resolve    graph fingerprint
 weights    fingerprint, seed
 datapath   fingerprint, budget (device + limits + label), formats
 design     fingerprint, budget, formats, *effective* lane/SIMD caps,
@@ -73,12 +73,12 @@ from repro.fixedpoint.format import (
     QFormat,
 )
 from repro.frontend.graph import NetworkGraph
-from repro.frontend.shapes import infer_shapes
+from repro.frontend.resolver import ResolvedGraph, resolve
 from repro.nn.reference import init_weights
 from repro.nngen.generator import NNGen
 
 #: Stage names, in flow order (used by stats reporting and the docs).
-STAGES = ("shapes", "weights", "datapath", "design", "compile", "dram",
+STAGES = ("resolve", "weights", "datapath", "design", "compile", "dram",
           "reference")
 
 
@@ -222,21 +222,25 @@ class BuildPipeline:
         self._fingerprints[id(graph)] = (weakref.ref(graph), fp)
         return fp
 
-    def shapes(self, graph: NetworkGraph, fp: str):
+    def resolve(self, graph: NetworkGraph, fp: str) -> ResolvedGraph:
+        """The resolved graph every later stage reads.  The fingerprint
+        ignores declaration order, which decides the in-place write a
+        reader sees, so a graph sharing it gets its own lowering."""
         value, _ = self.cache.get_or_build(
-            "shapes", stage_key("shapes", fp=fp),
-            lambda: infer_shapes(graph))
-        return value
+            "resolve", stage_key("resolve", fp=fp), lambda: resolve(graph))
+        return value if value.graph is graph else resolve(graph)
 
-    def weights(self, graph: NetworkGraph, fp: str, seed: int):
+    def weights(self, resolved: ResolvedGraph, fp: str, seed: int):
         """Seeded Gaussian weights (the ``RANDOM_WEIGHTS`` default)."""
         value, elapsed = self.cache.get_or_build(
             "weights", stage_key("weights", fp=fp, seed=seed),
-            lambda: init_weights(graph, np.random.default_rng(seed)))
+            lambda: init_weights(resolved.graph, np.random.default_rng(seed),
+                                 lowered=resolved))
         return value, elapsed
 
-    def datapath(self, graph: NetworkGraph, fp: str, budget: ResourceBudget,
-                 data_format: QFormat, weight_format: QFormat):
+    def datapath(self, resolved: ResolvedGraph, fp: str,
+                 budget: ResourceBudget, data_format: QFormat,
+                 weight_format: QFormat):
         """The budget-driven datapath choice, before explorer caps."""
         key = stage_key(
             "datapath", fp=fp, budget=_budget_fields(budget),
@@ -247,7 +251,7 @@ class BuildPipeline:
         gen = NNGen()
         return self.cache.get_or_build(
             "datapath", key,
-            lambda: gen.datapath(graph, budget, data_format=data_format,
+            lambda: gen.datapath(resolved, budget, data_format=data_format,
                                  weight_format=weight_format))
 
     def design_key(self, fp: str, budget: ResourceBudget, config,
@@ -267,22 +271,22 @@ class BuildPipeline:
             fold_capacity_scale=fold_capacity_scale,
         )
 
-    def design(self, graph: NetworkGraph, fp: str, budget: ResourceBudget,
-               data_format: QFormat, weight_format: QFormat,
-               max_lanes: int = 0, max_simd: int = 0,
+    def design(self, resolved: ResolvedGraph, fp: str,
+               budget: ResourceBudget, data_format: QFormat,
+               weight_format: QFormat, max_lanes: int = 0, max_simd: int = 0,
                fold_capacity_scale: float = 1.0):
         """datapath + realise, memoized; returns
         ``(design, design_key, seconds)``."""
         gen = NNGen()
         gen.validate_knobs(max_lanes=max_lanes, max_simd=max_simd,
                            fold_capacity_scale=fold_capacity_scale)
-        config, choose_s = self.datapath(graph, fp, budget, data_format,
+        config, choose_s = self.datapath(resolved, fp, budget, data_format,
                                          weight_format)
         config = NNGen.apply_caps(config, max_lanes, max_simd)
         key = self.design_key(fp, budget, config, fold_capacity_scale)
         design, realise_s = self.cache.get_or_build(
             "design", key,
-            lambda: gen.realise_design(graph, budget, config,
+            lambda: gen.realise_design(resolved, budget, config,
                                        fold_capacity_scale))
         return design, key, choose_s + realise_s
 
@@ -355,7 +359,7 @@ class BuildPipeline:
         from repro import api
 
         timings: dict[str, float] = {
-            "parse_s": 0.0, "shapes_s": 0.0, "nngen_s": 0.0,
+            "parse_s": 0.0, "resolve_s": 0.0, "nngen_s": 0.0,
             "quantize_s": 0.0, "compile_s": 0.0,
         }
         started = time.perf_counter()
@@ -388,25 +392,25 @@ class BuildPipeline:
                 calibration_inputs, seed, timings)
 
         fp = self.fingerprint(graph)
-        shape_t0 = time.perf_counter()
-        shapes = self.shapes(graph, fp)
-        timings["shapes_s"] = time.perf_counter() - shape_t0
+        resolve_t0 = time.perf_counter()
+        resolved = self.resolve(graph, fp)
+        timings["resolve_s"] = time.perf_counter() - resolve_t0
 
         design, design_key, nngen_s = self.design(
-            graph, fp, budget, data_format, weight_format,
+            resolved, fp, budget, data_format, weight_format,
             max_lanes=max_lanes, max_simd=max_simd,
             fold_capacity_scale=fold_capacity_scale)
         timings["nngen_s"] = nngen_s
         core, compile_s = self.compile_core(design, design_key)
         timings["compile_s"] = compile_s
-        if design.graph is not graph:
-            # A hit on a same-topology graph (the fingerprint excludes
-            # the network name): report this build's graph.
-            design = replace(design, graph=graph)
+        if design.resolved is not resolved:
+            # A hit on a same-fingerprint graph (another name, or another
+            # declaration order): report and run this build's graph.
+            design = replace(design, resolved=resolved)
             core = replace(core, design=design)
 
         if seeded:
-            weights, weights_s = self.weights(graph, fp, seed)
+            weights, weights_s = self.weights(resolved, fp, seed)
             timings["quantize_s"] += weights_s
         if weights is None:
             program = core  # a weightless core already has dram_image=None
@@ -419,7 +423,6 @@ class BuildPipeline:
 
         return api.BuildArtifacts(
             graph=graph,
-            shapes=shapes,
             design=design,
             program=program,
             budget=budget,
@@ -450,7 +453,6 @@ class BuildPipeline:
         timings["compile_s"] = time.perf_counter() - t0
         return api.BuildArtifacts(
             graph=graph,
-            shapes=infer_shapes(graph),
             design=design,
             program=program,
             budget=budget,
@@ -474,7 +476,7 @@ class BuildPipeline:
         keys = artifacts.stage_keys or {}
         def build() -> np.ndarray:
             return np.asarray(
-                ReferenceNetwork(artifacts.graph, artifacts.weights)
+                ReferenceNetwork(artifacts.design.graph, artifacts.weights)
                 .output(artifacts.random_input()), dtype=float)
 
         if not keys.get("seeded"):

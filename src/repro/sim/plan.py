@@ -64,9 +64,9 @@ from repro.fixedpoint.ops import (
     quantize_to_ints,
     requantize,
 )
-from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec, PoolMethod
-from repro.frontend.shapes import TensorShape, conv_groups
+from repro.frontend.resolver import ResolvedGraph
+from repro.frontend.shapes import conv_groups
 from repro.nn import functional as F
 
 IntArray = npt.NDArray[np.int64]
@@ -291,12 +291,12 @@ class LayerStep:
     out_w: int = 0
     #: Shared Approx-LUT content for sigmoid/tanh/LRN scaling.
     lut: ApproxLUTContent | None = None
-    # --- filled in by the plan optimizer ---------------------------------
-    #: SSA value ids: one per bottom, one for the step's result.  Blob
-    #: names are reused by Caffe-style in-place layers, so liveness and
-    #: scheduling run on value ids, never on names.
-    in_vids: list[int] = field(default_factory=list)
+    #: SSA value ids of the resolved graph: one per bottom, and the
+    #: result's (its layer id).  Caffe-style in-place layers reuse blob
+    #: names, so liveness and scheduling run on value ids, never names.
+    in_vids: tuple[int, ...] = ()
     out_vid: int = -1
+    # --- filled in by the plan optimizer ---------------------------------
     #: Whether this step was folded onto its producer as an epilogue.
     fused: bool = False
     #: Whether the step's result buffer may come from the arena in
@@ -311,21 +311,22 @@ class LayerStep:
 class ExecutionPlan:
     """Input-independent execution state for one compiled design."""
 
-    input_blob: str
     input_fmt: QFormat
     input_dims: tuple[int, ...]
     output_blob: str
     steps: list[LayerStep]
     blob_formats: dict[str, QFormat]
+    #: Value ids are resolved-graph layer ids; the quantized input is
+    #: its data layer's value, and ``final_vids`` (blob -> last write)
+    #: is what a keep-all flush returns.
+    n_values: int
+    input_vid: int
+    final_vids: dict[str, int]
+    output_vid: int
     # --- built by _analyze -----------------------------------------------
     #: Execution order: one node per fusion chain (an anchor step index
     #: plus its fused epilogues), topologically ordered.
     nodes: list[list[int]] = field(default_factory=list)
-    #: Blob name per value id (vid 0 is the quantized network input).
-    vid_blob: list[str] = field(default_factory=list)
-    #: Final value id per blob name — what a keep-all flush returns.
-    final_vids: dict[str, int] = field(default_factory=dict)
-    output_vid: int = -1
     #: Canonical buffer groups from in-place epilogue aliasing:
     #: canonical vid -> every vid sharing its buffer.
     aliases: dict[int, list[int]] = field(default_factory=dict)
@@ -339,30 +340,31 @@ class ExecutionPlan:
 
     @staticmethod
     def build(
-        graph: NetworkGraph,
-        shapes: dict[str, TensorShape],
-        order: list[LayerSpec],
+        resolved: ResolvedGraph,
         quantized_weights: dict[str, dict[str, AnyArray]],
         blob_formats: dict[str, QFormat],
         weight_format: QFormat,
         lut_for: Callable[[str, QFormat], ApproxLUTContent],
     ) -> "ExecutionPlan":
-        data_layers = graph.inputs()
+        data_layers = resolved.graph.inputs()
         if len(data_layers) != 1:
             raise SimulationError("execution plan expects a single input")
         input_blob = data_layers[0].tops[0]
+        output_blob = resolved.graph.outputs()[-1].tops[0]
         steps: list[LayerStep] = []
-        for spec in order:
+        for layer_id, spec in enumerate(resolved.layers):
             if spec.kind is LayerKind.DATA:
                 continue
             in_fmts = [blob_formats[b] for b in spec.bottoms]
             out_fmt = blob_formats[spec.tops[0]] if spec.tops else in_fmts[0]
-            step = LayerStep(spec=spec, in_fmts=in_fmts, out_fmt=out_fmt)
+            step = LayerStep(spec=spec, in_fmts=in_fmts, out_fmt=out_fmt,
+                             in_vids=resolved.reads[layer_id], out_vid=layer_id)
             params = quantized_weights.get(spec.name, {})
             kind = spec.kind
             if kind.is_convolution:
-                ExecutionPlan._plan_conv(step, shapes[spec.bottoms[0]].dims,
-                                         params, weight_format)
+                ExecutionPlan._plan_conv(
+                    step, resolved.shapes[spec.bottoms[0]].dims, params,
+                    weight_format)
             elif kind in (LayerKind.INNER_PRODUCT, LayerKind.ASSOCIATIVE,
                           LayerKind.RECURRENT):
                 step.acc_fmt = accumulator_format(in_fmts[0], weight_format)
@@ -382,12 +384,15 @@ class ExecutionPlan:
                 step.lut = lut_for("reciprocal_power", in_fmts[0])
             steps.append(step)
         plan = ExecutionPlan(
-            input_blob=input_blob,
             input_fmt=blob_formats[input_blob],
-            input_dims=shapes[input_blob].dims,
-            output_blob=graph.outputs()[-1].tops[0],
+            input_dims=resolved.shapes[input_blob].dims,
+            output_blob=output_blob,
             steps=steps,
             blob_formats=blob_formats,
+            n_values=len(resolved.layers),
+            input_vid=resolved.ids[data_layers[0].name],
+            final_vids=resolved.final,
+            output_vid=resolved.final[output_blob],
         )
         plan._analyze()
         return plan
@@ -416,30 +421,15 @@ class ExecutionPlan:
             spec.kernel_size, spec.stride, spec.pad)
 
     # ------------------------------------------------------------------
-    # Plan optimizer: SSA values, fusion chains, liveness
+    # Plan optimizer: fusion chains, liveness
 
     def _analyze(self) -> None:
-        # SSA value numbering over the Caffe-style blob namespace:
-        # in-place layers (bottom == top) get a fresh vid per write, so
-        # reordering and liveness never confuse two versions of a name.
-        vid_blob: list[str] = [self.input_blob]
-        readers: list[list[int]] = [[]]
-        writer: list[int] = [-1]
-        current: dict[str, int] = {self.input_blob: 0}
+        readers: list[list[int]] = [[] for _ in range(self.n_values)]
+        writer: dict[int, int] = {}
         for i, step in enumerate(self.steps):
-            step.in_vids = [current[b] for b in step.spec.bottoms]
             for v in step.in_vids:
                 readers[v].append(i)
-            top = step.spec.tops[0] if step.spec.tops else ""
-            step.out_vid = len(vid_blob)
-            vid_blob.append(top)
-            readers.append([])
-            writer.append(i)
-            for name in step.spec.tops:
-                current[name] = step.out_vid
-        self.vid_blob = vid_blob
-        self.final_vids = dict(current)
-        self.output_vid = current[self.output_blob]
+            writer[step.out_vid] = i
 
         # Epilogue fusion: greedily chain each step with the single
         # reader of its value while that reader is a legal epilogue.
@@ -483,7 +473,7 @@ class ExecutionPlan:
         # An epilogue may overwrite its producer's buffer when shapes
         # match, the producer's value does not persist (recurrent state
         # does), and the result is not the network output.
-        canonical = list(range(len(vid_blob)))
+        canonical = list(range(self.n_values))
         for chain in chains:
             for prev, cur in zip(chain, chain[1:]):
                 step = self.steps[cur]
@@ -509,7 +499,7 @@ class ExecutionPlan:
         # the last node that reads any of its aliases.
         self.release_after_node = [[] for _ in self.nodes]
         for c, group in self.aliases.items():
-            if c == 0:
+            if c == self.input_vid:
                 last = 0  # the quantized input lives on the arena
             elif self.steps[writer[c]].use_arena:
                 last = node_of_step[writer[c]]
@@ -569,10 +559,10 @@ class ExecutionPlan:
             raise SimulationError(
                 f"unknown retention mode '{keep}' (expected 'all' or 'output')")
         hot = keep == "output"
-        values: list[AnyArray | None] = [None] * len(self.vid_blob)
+        values: list[AnyArray | None] = [None] * self.n_values
         source = np.asarray(inputs, dtype=np.float64)
         alloc: Allocator = self.arena if hot else PLAIN
-        values[0] = quantize_to_ints(
+        values[self.input_vid] = quantize_to_ints(
             source, self.input_fmt, out=alloc.take(source.shape, np.int64))
         for node, releases in zip(self.nodes, self.release_after_node):
             for si in node:

@@ -10,7 +10,7 @@ accuracy loss Fig. 10 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from repro.fixedpoint.ops import (
 )
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind, LayerSpec, PoolMethod
-from repro.frontend.shapes import conv_groups, infer_shapes
+from repro.frontend.resolver import ResolvedGraph, resolve
+from repro.frontend.shapes import conv_groups
 from repro.nn import functional as F
 from repro.sim.plan import ExecutionPlan
 
@@ -52,11 +53,13 @@ class QuantizedExecutor:
     #: integer dtype: :meth:`from_program` passes views of the program's
     #: DRAM image.  ``None`` quantizes ``weights`` here.
     quantized_weights: dict[str, dict[str, np.ndarray]] | None = None
+    #: ``graph`` already resolved, if the caller holds it.
+    lowered: InitVar[ResolvedGraph | None] = None
+    resolved: ResolvedGraph = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._shapes = infer_shapes(self.graph)
-        self._order = self.graph.topological_order()
-        for blob in self._shapes:
+    def __post_init__(self, lowered: ResolvedGraph | None) -> None:
+        self.resolved = lowered or resolve(self.graph)
+        for blob in self.resolved.shapes:
             if blob not in self.blob_formats:
                 raise SimulationError(f"no fixed-point format for blob '{blob}'")
         if self.quantized_weights is None:
@@ -108,6 +111,7 @@ class QuantizedExecutor:
             views = program.weight_views()
         return QuantizedExecutor(
             graph=program.design.graph,
+            lowered=program.design.resolved,
             weights=weights,
             blob_formats=dict(program.blob_formats),
             weight_format=program.weight_format
@@ -129,9 +133,7 @@ class QuantizedExecutor:
         """
         if self._plan is None:
             self._plan = ExecutionPlan.build(
-                self.graph,
-                self._shapes,
-                self._order,
+                self.resolved,
                 self.quantized_weights,
                 self.blob_formats,
                 self.weight_format,
@@ -147,7 +149,7 @@ class QuantizedExecutor:
         if len(data_layers) != 1:
             raise SimulationError("quantized executor expects a single input")
         input_blob = data_layers[0].tops[0]
-        expected = self._shapes[input_blob]
+        expected = self.resolved.shapes[input_blob]
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.shape != expected.dims:
             if inputs.size != expected.size:
@@ -158,7 +160,7 @@ class QuantizedExecutor:
         blobs: dict[str, np.ndarray] = {
             input_blob: quantize_to_ints(inputs, self.blob_formats[input_blob])
         }
-        for spec in self._order:
+        for spec in self.resolved.layers:
             if spec.kind is LayerKind.DATA:
                 continue
             raw_inputs = [blobs[b] for b in spec.bottoms]
@@ -191,7 +193,7 @@ class QuantizedExecutor:
         data_layers = self.graph.inputs()
         if len(data_layers) != 1:
             raise SimulationError("quantized executor expects a single input")
-        expected = self._shapes[data_layers[0].tops[0]]
+        expected = self.resolved.shapes[data_layers[0].tops[0]]
         if isinstance(batch, np.ndarray) and batch.ndim and \
                 batch.shape[1:] == expected.dims:
             return np.asarray(batch, dtype=np.float64)

@@ -15,6 +15,7 @@ import pytest
 from repro import api
 from repro.errors import SimulationError
 from repro.fixedpoint import QFormat
+from repro.frontend import load
 from repro.frontend.shapes import infer_shapes
 from repro.nn.reference import init_weights
 from repro.runtime import CompiledModel, InferenceServer
@@ -85,17 +86,46 @@ class TestBatchedBitExactness:
             reference.append([executor.forward_raw(sample)
                               for _ in range(flushes)])
 
+        shapes = executor.resolved.shapes
         executor.reset_state()
         for flush in range(flushes):
             stacked = executor.forward_batch_raw(batch)
             assert stacked.keys() == reference[0][flush].keys()
             for blob, array in stacked.items():
                 assert array.dtype == np.int64
+                # Both executors agree with the one resolved shape.
+                assert {array.shape[1:]} | {
+                    sample[flush][blob].shape for sample in reference
+                } == {shapes[blob].dims}, blob
                 for index in range(count):
                     np.testing.assert_array_equal(
                         array[index], reference[index][flush][blob],
                         err_msg=f"{name}: blob '{blob}', sample {index}, "
                                 f"flush {flush}")
+
+    @pytest.mark.parametrize("kind", ["RELU", "SIGMOID"])
+    def test_in_place_layer_on_the_input_blob(self, kind):
+        """An in-place layer on the data blob reads the quantized input,
+        not its own (not yet written) value."""
+        graph = load(f"""
+name: "in_place_input"
+layers {{ name: "data" type: DATA top: "data" param {{ dim: 8 }} }}
+layers {{ name: "act" type: {kind} bottom: "data" top: "data" }}
+layers {{ name: "ip1" type: INNER_PRODUCT bottom: "data" top: "ip1" param {{ num_output: 4 }} }}
+""", format="prototxt")
+        executor = QuantizedExecutor(
+            graph=graph, weights=init_weights(graph, np.random.default_rng(2)),
+            blob_formats=dict.fromkeys(infer_shapes(graph), QFormat(5, 10)),
+            weight_format=QFormat(3, 12))
+        rng = np.random.default_rng(4)
+        batch = [rng.standard_normal(8) for _ in range(3)]
+        reference = [executor.forward_raw(sample) for sample in batch]
+        for keep, blobs in (("all", ["data", "ip1"]), ("output", ["ip1"])):
+            stacked = executor.forward_batch_raw(batch, keep=keep)
+            assert sorted(stacked) == blobs
+            for blob in blobs:
+                np.testing.assert_array_equal(
+                    stacked[blob], np.stack([r[blob] for r in reference]))
 
     def test_ndarray_batch_equals_list_batch(self):
         executor = make_executor("mnist")

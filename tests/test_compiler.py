@@ -53,7 +53,7 @@ def cnn_design():
 
 class TestMemoryMap:
     def test_regions_disjoint(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         intervals = []
         for base, layout in memory_map.feature_regions.values():
@@ -66,7 +66,7 @@ class TestMemoryMap:
             assert a_end <= b_start
 
     def test_total_covers_everything(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         last = max(
             [base + layout.total_elements
@@ -77,13 +77,13 @@ class TestMemoryMap:
         assert memory_map.total_elements == last
 
     def test_pixel_addressing(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         addr = memory_map.address_of_pixel("data", 0, 0, 0)
         assert addr == memory_map.feature_base("data")
 
     def test_unknown_blob_rejected(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         from repro.errors import LayoutError
         with pytest.raises(LayoutError):
@@ -92,13 +92,13 @@ class TestMemoryMap:
 
 class TestAddressPlans:
     def test_every_phase_has_plan(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         assert len(plans) == len(cnn_design.folding)
 
     def test_dense_weight_pattern_matches_reference(self, mlp_design):
-        memory_map = build_memory_map(mlp_design.graph,
+        memory_map = build_memory_map(mlp_design.resolved,
                                       mlp_design.datapath.simd)
         plans = AddressFlowGenerator(mlp_design, memory_map).plans()
         weights = memory_map.weights("ip1")
@@ -115,7 +115,7 @@ class TestAddressPlans:
             assert got == expected
 
     def test_dense_fetch_words_match_fold(self, mlp_design):
-        memory_map = build_memory_map(mlp_design.graph,
+        memory_map = build_memory_map(mlp_design.resolved,
                                       mlp_design.datapath.simd)
         plans = AddressFlowGenerator(mlp_design, memory_map).plans()
         for plan in plans:
@@ -124,7 +124,7 @@ class TestAddressPlans:
                         == plan.phase.weight_words)
 
     def test_conv_feature_reads_in_region(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         for plan in plans:
@@ -137,7 +137,7 @@ class TestAddressPlans:
                 assert pattern.max_address() < base + layout.total_elements
 
     def test_writes_target_output_region(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         for plan in plans:
@@ -150,7 +150,7 @@ class TestAddressPlans:
                 assert pattern.max_address() < base + layout.total_elements
 
     def test_partial_folds_do_not_write(self, mlp_design):
-        memory_map = build_memory_map(mlp_design.graph,
+        memory_map = build_memory_map(mlp_design.resolved,
                                       mlp_design.datapath.simd)
         plans = AddressFlowGenerator(mlp_design, memory_map).plans()
         for plan in plans:
@@ -158,7 +158,7 @@ class TestAddressPlans:
                 assert not plan.main_writes
 
     def test_events_unique(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         events = [plan.event for plan in plans]
@@ -177,14 +177,14 @@ class TestAddressPlans:
 
 class TestCoordinatorProgram:
     def test_one_state_per_phase(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         program = build_coordinator_program(cnn_design, plans)
         assert program.n_states == len(plans)
 
     def test_routes_use_existing_blocks(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         program = build_coordinator_program(cnn_design, plans)
@@ -200,7 +200,7 @@ class TestCoordinatorProgram:
             assert state.accumulate_hold == plan.phase.partial
 
     def test_pattern_indices_valid(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.graph,
+        memory_map = build_memory_map(cnn_design.resolved,
                                       cnn_design.datapath.simd)
         plans = AddressFlowGenerator(cnn_design, memory_map).plans()
         program = build_coordinator_program(cnn_design, plans)

@@ -5,7 +5,7 @@ import pytest
 from repro.devices import Z7020, Z7045, budget_fraction
 from repro.errors import SimulationError
 from repro.fixedpoint.format import DEFAULT_DATA_FORMAT, DEFAULT_WEIGHT_FORMAT
-from repro.frontend import load
+from repro.frontend import load, resolve
 from repro.frontend.layers import LayerKind
 from repro.nngen import NNGen
 from repro.nngen.allocate import NetworkNeeds, parallelism_caps
@@ -118,20 +118,20 @@ class TestNetworkNeeds:
 
 class TestParallelismCaps:
     def test_tiny_mlp_capped(self):
-        lanes, simd = parallelism_caps(load(MLP_TEXT, format="prototxt"))
+        lanes, simd = parallelism_caps(resolve(load(MLP_TEXT, format="prototxt")))
         assert lanes == 32  # widest layer has 32 outputs
         assert simd == 32   # deepest dot product is 32 inputs
 
     def test_conv_caps_large(self):
         from repro.zoo import mnist
-        lanes, simd = parallelism_caps(mnist())
+        lanes, simd = parallelism_caps(resolve(mnist()))
         assert lanes >= 512   # conv output values abound
         assert simd >= 512    # 500-wide FC dot products
 
     def test_caps_bound_chosen_datapath(self):
         graph = load(MLP_TEXT, format="prototxt")
         design = NNGen().generate(graph, budget_fraction(Z7045, 0.9))
-        lanes_cap, simd_cap = parallelism_caps(graph)
+        lanes_cap, simd_cap = parallelism_caps(resolve(graph))
         assert design.datapath.lanes <= lanes_cap
         assert design.datapath.simd <= simd_cap
 

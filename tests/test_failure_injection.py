@@ -78,7 +78,7 @@ class TestCompilerRejections:
         del design.components["connection_box"]
         from repro.compiler.address import AddressFlowGenerator
         from repro.compiler.memmap import build_memory_map
-        memory_map = build_memory_map(design.graph, design.datapath.simd)
+        memory_map = build_memory_map(design.resolved, design.datapath.simd)
         plans = AddressFlowGenerator(design, memory_map).plans()
         with pytest.raises(CompileError):
             build_coordinator_program(design, plans)

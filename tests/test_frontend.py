@@ -144,6 +144,27 @@ layers { name: "dw" type: DWCONV bottom: "data" top: "dw" param { num_output: 4 
         with pytest.raises(ParseError, match="group"):
             load(text)
 
+    def test_grouped_conv_output_must_divide_prototxt(self):
+        text = """
+name: "bad"
+layers { name: "data" type: DATA top: "data" param { dim: 4 dim: 8 dim: 8 } }
+layers { name: "conv" type: CONVOLUTION bottom: "data" top: "conv" param { num_output: 3 kernel_size: 3 group: 2 } }
+"""
+        with pytest.raises(ParseError, match="'conv'.*divisible by group 2"):
+            load(text)
+
+    def test_grouped_conv_output_must_divide_onnx(self):
+        doc = {"graph": {
+            "name": "bad",
+            "input": [{"name": "data", "shape": [4, 8, 8]}],
+            "node": [{"name": "conv", "op_type": "Conv", "input": ["data"],
+                      "output": ["conv"],
+                      "attributes": {"num_output": 3, "kernel_size": 3,
+                                     "group": 2}}],
+        }}
+        with pytest.raises(ParseError, match="'conv'.*divisible by group 2"):
+            load(doc)
+
     def test_invalid_json_reports_parse_error(self):
         with pytest.raises(ParseError, match="invalid onnx json"):
             load("{not json", format="onnx")

@@ -10,7 +10,7 @@ from repro.fixedpoint.format import (
     DEFAULT_WEIGHT_FORMAT,
     QFormat,
 )
-from repro.frontend import load
+from repro.frontend import load, resolve
 from repro.frontend.layers import LayerKind
 from repro.frontend.shapes import infer_shapes, macs_for_layer
 from repro.nngen import NNGen, allocate, build_folding_plan, choose_datapath
@@ -47,11 +47,11 @@ def small_config(lanes=4, simd=4):
 class TestChooseDatapath:
     def test_bigger_budget_bigger_datapath(self):
         graph = load(LENET_TEXT, format="prototxt")
-        small = choose_datapath(graph, budget_fraction(Z7020, 0.1),
+        small = choose_datapath(resolve(graph), budget_fraction(Z7020, 0.1),
                                 DEFAULT_DATA_FORMAT, DEFAULT_WEIGHT_FORMAT,
                                 feature_demand_bits=1 << 18,
                                 weight_demand_bits=1 << 18)
-        large = choose_datapath(graph, budget_fraction(Z7045, 0.8),
+        large = choose_datapath(resolve(graph), budget_fraction(Z7045, 0.8),
                                 DEFAULT_DATA_FORMAT, DEFAULT_WEIGHT_FORMAT,
                                 feature_demand_bits=1 << 18,
                                 weight_demand_bits=1 << 18)
@@ -61,15 +61,15 @@ class TestChooseDatapath:
         graph = load(MLP_TEXT, format="prototxt")
         budget = budget_fraction(Z7020, 0.001)
         with pytest.raises(ResourceError):
-            choose_datapath(graph, budget, DEFAULT_DATA_FORMAT,
+            choose_datapath(resolve(graph), budget, DEFAULT_DATA_FORMAT,
                             DEFAULT_WEIGHT_FORMAT, 1 << 12, 1 << 12)
 
 
-def exhaustive_datapath(graph, budget, data_format, weight_format,
+def exhaustive_datapath(resolved, budget, data_format, weight_format,
                         feature_demand_bits, weight_demand_bits):
     """Reference search: cost every shape, keep the best fitting key."""
-    needs = allocate.NetworkNeeds.of(graph)
-    max_lanes, max_simd = allocate.parallelism_caps(graph)
+    needs = allocate.NetworkNeeds.of(resolved.graph)
+    max_lanes, max_simd = allocate.parallelism_caps(resolved)
     lane_options = []
     lanes = 1
     while lanes <= min(512, max_lanes):
@@ -123,7 +123,7 @@ class TestDatapathSearch:
 
     @pytest.mark.parametrize("net", sorted(zoo.BENCHMARKS))
     def test_matches_exhaustive_search(self, net):
-        graph = zoo.benchmark_graph(net)
+        graph = resolve(zoo.benchmark_graph(net))
         infeasible = 0
         for data_format, weight_format in self.FORMATS:
             demands = NNGen._demands(graph, data_format, weight_format)
@@ -151,7 +151,7 @@ class TestDatapathSearch:
             return real(components)
 
         monkeypatch.setattr(allocate, "estimate_design_cost", counting)
-        NNGen().datapath(graph, budget)
+        NNGen().datapath(resolve(graph), budget)
         return len(calls)
 
     @pytest.mark.parametrize("net", sorted(zoo.BENCHMARKS))
@@ -197,7 +197,7 @@ class TestDatapathSearch:
 class TestFoldingPlanDense:
     def test_small_mlp_single_fold_per_layer(self):
         graph = load(MLP_TEXT, format="prototxt")
-        plan = build_folding_plan(graph, small_config(lanes=64),
+        plan = build_folding_plan(resolve(graph), small_config(lanes=64),
                                   feature_capacity_words=4096,
                                   weight_capacity_words=4096)
         counts = plan.fold_counts()
@@ -208,7 +208,7 @@ class TestFoldingPlanDense:
     def test_output_folding_when_weight_buffer_small(self):
         graph = load(MLP_TEXT, format="prototxt")
         # ip1 is 16x32 = 512 weights; a 128-word buffer forces >= 4 folds.
-        plan = build_folding_plan(graph, small_config(lanes=4),
+        plan = build_folding_plan(resolve(graph), small_config(lanes=4),
                                   feature_capacity_words=4096,
                                   weight_capacity_words=128)
         assert plan.fold_counts()["ip1"] >= 4
@@ -219,7 +219,7 @@ class TestFoldingPlanDense:
         layers { name: "fc" type: INNER_PRODUCT bottom: "d" top: "fc" param { num_output: 4 } }
         """
         graph = load(text, format="prototxt")
-        plan = build_folding_plan(graph, small_config(),
+        plan = build_folding_plan(resolve(graph), small_config(),
                                   feature_capacity_words=600,
                                   weight_capacity_words=600)
         folds = plan.for_layer("fc")
@@ -230,7 +230,7 @@ class TestFoldingPlanDense:
     def test_macs_conserved_for_dense(self):
         graph = load(MLP_TEXT, format="prototxt")
         shapes = infer_shapes(graph)
-        plan = build_folding_plan(graph, small_config(),
+        plan = build_folding_plan(resolve(graph), small_config(),
                                   feature_capacity_words=256,
                                   weight_capacity_words=64)
         for layer in ("ip1", "ip2"):
@@ -242,7 +242,7 @@ class TestFoldingPlanDense:
 
     def test_outputs_covered_exactly(self):
         graph = load(MLP_TEXT, format="prototxt")
-        plan = build_folding_plan(graph, small_config(lanes=4),
+        plan = build_folding_plan(resolve(graph), small_config(lanes=4),
                                   feature_capacity_words=128,
                                   weight_capacity_words=48)
         covered = {}
@@ -259,7 +259,7 @@ class TestFoldingPlanDense:
                  param { num_output: 6 } connect { name: "l" direction: recurrent } }
         """
         graph = load(text, format="prototxt")
-        plan = build_folding_plan(graph, small_config(lanes=64),
+        plan = build_folding_plan(resolve(graph), small_config(lanes=64),
                                   feature_capacity_words=4096,
                                   weight_capacity_words=4096)
         fold = plan.for_layer("rec")[0]
@@ -270,7 +270,7 @@ class TestFoldingPlanConv:
     def test_macs_conserved_for_conv(self):
         graph = load(LENET_TEXT, format="prototxt")
         shapes = infer_shapes(graph)
-        plan = build_folding_plan(graph, small_config(),
+        plan = build_folding_plan(resolve(graph), small_config(),
                                   feature_capacity_words=8192,
                                   weight_capacity_words=4096)
         for layer in ("conv1", "conv2"):
@@ -282,10 +282,10 @@ class TestFoldingPlanConv:
 
     def test_small_buffer_more_folds(self):
         graph = load(LENET_TEXT, format="prototxt")
-        plan_big = build_folding_plan(graph, small_config(),
+        plan_big = build_folding_plan(resolve(graph), small_config(),
                                       feature_capacity_words=65536,
                                       weight_capacity_words=65536)
-        plan_small = build_folding_plan(graph, small_config(),
+        plan_small = build_folding_plan(resolve(graph), small_config(),
                                         feature_capacity_words=2048,
                                         weight_capacity_words=512)
         assert len(plan_small) > len(plan_big)
@@ -293,13 +293,13 @@ class TestFoldingPlanConv:
     def test_overflowing_buffer_raises(self):
         graph = load(LENET_TEXT, format="prototxt")
         with pytest.raises(ResourceError):
-            build_folding_plan(graph, small_config(),
+            build_folding_plan(resolve(graph), small_config(),
                                feature_capacity_words=16,
                                weight_capacity_words=16)
 
     def test_pooling_folds_cover_channels(self):
         graph = load(LENET_TEXT, format="prototxt")
-        plan = build_folding_plan(graph, small_config(),
+        plan = build_folding_plan(resolve(graph), small_config(),
                                   feature_capacity_words=1200,
                                   weight_capacity_words=4096)
         pool_folds = plan.for_layer("pool1")

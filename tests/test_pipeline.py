@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.analysis import verify_artifacts
 from repro.dse import SweepPoint, SweepSpec, run_sweep
 from repro.fixedpoint.format import QFormat
+from repro.frontend import load, resolver
 from repro.pipeline import (
     BuildPipeline,
     StageCache,
@@ -154,6 +156,30 @@ class TestStageInvalidation:
         assert "dram" not in pipe.cache.stats
 
 
+class TestResolveOnce:
+    """The graph is lowered once per build; every later stage reads
+    the resolved graph the design carries."""
+
+    def test_build_resolves_once_and_readers_never(self, monkeypatch):
+        graph = benchmark_graph("nin")
+        pipe = BuildPipeline()
+        pipe.fingerprint(graph)  # the fingerprint lowers on its own
+        lowered = []
+        lower = resolver.lower
+
+        def counting(target):
+            lowered.append(target.name)
+            return lower(target)
+
+        monkeypatch.setattr(resolver, "lower", counting)
+        artifacts = api.build(graph, pipeline=pipe)
+        assert lowered == ["nin"]
+        lowered.clear()
+        verify_artifacts(artifacts)
+        api.simulate(artifacts)
+        assert lowered == []
+
+
 class TestTransparency:
     """Memoization is invisible in the results."""
 
@@ -195,6 +221,54 @@ class TestTransparency:
         assert "'renamed_net'" in renamed.design.summary()
         assert "'renamed_net'" in renamed.program.summary()
         assert renamed.program.design is renamed.design
+
+    @pytest.mark.parametrize("first, second", [
+        (("relu1", "RELU"), ("sig1", "SIGMOID")),
+        (("relu1", "RELU"), ("ip2", "INNER_PRODUCT")),
+    ], ids=["writer-order", "reader-order"])
+    def test_declaration_order_of_in_place_writes_is_kept(self, first,
+                                                         second):
+        """Two graphs that differ only in the declaration order of an
+        in-place write to ``ip1`` and its neighbour share a fingerprint
+        and a design, but each build runs its own graph."""
+        def script(order):
+            lines = {
+                "relu1": 'layers { name: "relu1" type: RELU '
+                         'bottom: "ip1" top: "ip1" }',
+                "sig1": 'layers { name: "sig1" type: SIGMOID '
+                        'bottom: "ip1" top: "ip1" }',
+                "ip2": 'layers { name: "ip2" type: INNER_PRODUCT '
+                       'bottom: "ip1" top: "ip2" param { num_output: 4 } }',
+            }
+            tail = [name for name in ("relu1", "sig1", "ip2")
+                    if name not in order]
+            return "\n".join([
+                'name: "order_net"',
+                'layers { name: "data" type: DATA top: "data" '
+                'param { dim: 8 } }',
+                'layers { name: "ip1" type: INNER_PRODUCT bottom: "data" '
+                'top: "ip1" param { num_output: 16 } }',
+                *(lines[name] for name in (*order, *tail))])
+
+        names = (first[0], second[0])
+        graphs = [load(script(names), format="prototxt"),
+                  load(script(names[::-1]), format="prototxt")]
+        assert graphs[0].fingerprint() == graphs[1].fingerprint()
+        shared = BuildPipeline()
+        outputs = []
+        for graph in graphs:
+            artifacts = api.build(graph, pipeline=shared)
+            private = api.build(graph, pipeline=BuildPipeline())
+            got = api.simulate(artifacts, all_blobs=True).outputs
+            want = api.simulate(private, all_blobs=True).outputs
+            assert got.keys() == want.keys()
+            for blob in want:
+                np.testing.assert_array_equal(got[blob], want[blob])
+            (batched,) = api.simulate_batch(artifacts,
+                                            [artifacts.random_input()])
+            np.testing.assert_array_equal(batched.output, got["ip2"])
+            outputs.append(got["ip2"])
+        assert not np.array_equal(outputs[0], outputs[1])
 
     def test_shared_plan_outputs_match_private_plan(self, mnist):
         model = CompiledModel.build(mnist, fraction=0.2,

@@ -41,9 +41,7 @@ def _executor(name: str) -> QuantizedExecutor:
 def _plan(executor: QuantizedExecutor) -> ExecutionPlan:
     """A fresh plan (own arena and counters) over the executor's net."""
     return ExecutionPlan.build(
-        executor.graph,
-        executor._shapes,
-        executor._order,
+        executor.resolved,
         executor.quantized_weights,
         executor.blob_formats,
         executor.weight_format,
@@ -54,7 +52,7 @@ def _plan(executor: QuantizedExecutor) -> ExecutionPlan:
 def _random_batch(executor: QuantizedExecutor, count: int,
                   seed: int) -> list:
     input_blob = executor.graph.inputs()[0].tops[0]
-    dims = executor._shapes[input_blob].dims
+    dims = executor.resolved.shapes[input_blob].dims
     rng = np.random.default_rng(seed)
     return [rng.uniform(-1.0, 1.0, dims) for _ in range(count)]
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.compiler.memmap import build_memory_map
 from repro.errors import ResourceError
 from repro.fixedpoint.format import DEFAULT_DATA_FORMAT, DEFAULT_WEIGHT_FORMAT
-from repro.frontend import load
+from repro.frontend import load, resolve
 from repro.frontend.shapes import infer_shapes, macs_for_layer
 from repro.nngen.design import DatapathConfig
 from repro.nngen.folding import build_folding_plan
@@ -56,7 +56,7 @@ class TestDenseFoldingProperties:
                                   feature_cap, weight_cap):
         graph = load(dense_graph(in_size, out_size), format="prototxt")
         try:
-            plan = build_folding_plan(graph, _config(lanes, 4),
+            plan = build_folding_plan(resolve(graph), _config(lanes, 4),
                                       feature_cap, weight_cap)
         except ResourceError:
             assume(False)
@@ -81,7 +81,7 @@ class TestDenseFoldingProperties:
     def test_partial_chain_ends_complete(self, in_size, out_size, weight_cap):
         graph = load(dense_graph(in_size, out_size), format="prototxt")
         try:
-            plan = build_folding_plan(graph, _config(4, 4), 4096, weight_cap)
+            plan = build_folding_plan(resolve(graph), _config(4, 4), 4096, weight_cap)
         except ResourceError:
             assume(False)
             return
@@ -119,7 +119,7 @@ class TestConvFoldingProperties:
         graph = load(conv_graph(cin, size, dout, kernel, stride), format="prototxt")
         shapes = infer_shapes(graph)
         try:
-            plan = build_folding_plan(graph, _config(4, 4),
+            plan = build_folding_plan(resolve(graph), _config(4, 4),
                                       feature_cap, weight_cap)
         except ResourceError:
             assume(False)
@@ -143,7 +143,7 @@ class TestConvFoldingProperties:
         assume(kernel <= size)
         graph = load(conv_graph(cin, size, dout, kernel, 1), format="prototxt")
         try:
-            plan = build_folding_plan(graph, _config(4, 4), 8192, 4096)
+            plan = build_folding_plan(resolve(graph), _config(4, 4), 8192, 4096)
         except ResourceError:
             assume(False)
             return
@@ -171,7 +171,7 @@ class TestMemoryMapProperties:
                 f'bottom: "b{index - 1}" top: "b{index}" '
                 f'param {{ num_output: {width} }} }}')
         graph = load("\n".join(lines), format="prototxt")
-        memory_map = build_memory_map(graph, port)
+        memory_map = build_memory_map(resolve(graph), port)
         intervals = []
         for base, layout in memory_map.feature_regions.values():
             intervals.append((base, base + layout.total_elements))

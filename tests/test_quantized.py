@@ -197,7 +197,7 @@ class TestGemmDtype:
     def run_twice(executor, seed=3):
         """Two calls, so a recurrent layer's feedback GEMM runs too."""
         rng = np.random.default_rng(seed)
-        dims = executor._shapes[executor.graph.inputs()[0].tops[0]].dims
+        dims = executor.resolved.shapes[executor.graph.inputs()[0].tops[0]].dims
         return [executor.forward_raw(rng.standard_normal(dims))
                 for _ in range(2)]
 

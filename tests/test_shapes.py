@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.frontend import load
+from repro.frontend import load, resolve
 from repro.frontend.layers import LayerKind, LayerSpec
 from repro.frontend.shapes import (
     TensorShape,
     conv_output_hw,
     infer_shapes,
-    layer_input_shape,
-    layer_output_shapes,
     macs_for_layer,
     weight_shape,
 )
@@ -104,17 +102,20 @@ class TestInferShapes:
         assert shapes["prob"].dims == (10,)
 
     def test_layer_output_shapes(self):
-        graph = load(LENET_TEXT, format="prototxt")
-        per_layer = layer_output_shapes(graph)
-        assert per_layer["conv1"].dims == (20, 24, 24)
+        resolved = resolve(load(LENET_TEXT, format="prototxt"))
+
+        def output(name):
+            return resolved.shapes[resolved.layer(name).tops[0]]
+
+        assert output("conv1").dims == (20, 24, 24)
         # In-place ReLU reports its blob's shape.
-        assert per_layer["relu1"].dims == (500,)
+        assert output("relu1").dims == (500,)
 
     def test_layer_input_shape(self):
-        graph = load(LENET_TEXT, format="prototxt")
-        assert layer_input_shape(graph, "conv2").dims == (20, 12, 12)
-        with pytest.raises(ShapeError):
-            layer_input_shape(graph, "data")
+        resolved = resolve(load(LENET_TEXT, format="prototxt"))
+        conv2 = resolved.layer("conv2")
+        assert resolved.shapes[conv2.bottoms[0]].dims == (20, 12, 12)
+        assert resolved.layer("data").bottoms == ()
 
     def test_conv_needs_spatial_input(self):
         text = """
@@ -160,6 +161,16 @@ class TestInferShapes:
         """
         shapes = infer_shapes(load(text, format="prototxt"))
         assert shapes["cls"].dims == (3,)
+
+    def test_classifier_top_k_beyond_input_rejected(self):
+        # Every executor returns at most as many indices as there are
+        # features, so a wider top_k has no consistent shape.
+        text = """
+        layers { name: "data" type: DATA top: "d" param { dim: 4 } }
+        layers { name: "cls" type: CLASSIFIER bottom: "d" top: "cls" param { top_k: 9 } }
+        """
+        with pytest.raises(ShapeError, match="classifier 'cls'.*top_k 9"):
+            infer_shapes(load(text, format="prototxt"))
 
 
 class TestWeightShape:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import GraphError
+from repro.frontend import resolve
 from repro.frontend.layers import LayerKind
-from repro.frontend.shapes import infer_shapes, layer_output_shapes
+from repro.frontend.shapes import infer_shapes
 from repro.zoo import (
     BENCHMARKS,
     alexnet,
@@ -66,12 +67,12 @@ class TestRecurrentModels:
 
 class TestCNNs:
     def test_mnist_shapes(self):
-        shapes = layer_output_shapes(mnist())
+        shapes = resolve(mnist()).shapes
         assert shapes["conv1"].dims == (20, 24, 24)
         assert shapes["ip2"].dims == (10,)
 
     def test_alexnet_canonical_shapes(self):
-        shapes = layer_output_shapes(alexnet())
+        shapes = resolve(alexnet()).shapes
         assert shapes["conv1"].dims == (96, 55, 55)
         assert shapes["pool1"].dims == (96, 27, 27)
         assert shapes["conv2"].dims == (256, 27, 27)
@@ -89,14 +90,14 @@ class TestCNNs:
 
     def test_nin_all_conv_classifier(self):
         graph = nin()
-        shapes = layer_output_shapes(graph)
+        shapes = resolve(graph).shapes
         assert shapes["cccp4b"].dims[0] == 1000
         # NiN ends in global average pooling, no FC layers.
         assert not any(spec.kind is LayerKind.INNER_PRODUCT
                        for spec in graph.layers)
 
     def test_cifar_shapes(self):
-        shapes = layer_output_shapes(cifar())
+        shapes = resolve(cifar()).shapes
         assert shapes["conv1"].dims == (32, 32, 32)
         assert shapes["ip2"].dims == (10,)
 
