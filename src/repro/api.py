@@ -16,7 +16,7 @@ propagation on it::
 Since the stage-memoized pipeline (:mod:`repro.pipeline`) landed,
 ``build`` is a thin wrapper over a shared
 :class:`~repro.pipeline.BuildPipeline`: repeated builds of the same
-network reuse graph resolution, weight init, weight quantization,
+network reuse graph resolution, seeded weights, weight quantization,
 generated designs and compiled control programs stage by stage, and the
 returned artifacts carry ``stage_seconds``/``stage_keys`` describing
 where the time went and which memoized intermediates they reference.
@@ -32,6 +32,7 @@ streams.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -68,7 +69,15 @@ class BuildArtifacts:
     design: AcceleratorDesign
     program: ControlProgram
     budget: ResourceBudget
-    weights: dict[str, dict[str, np.ndarray]] | None = None
+    #: The float weights, ``{layer: {"weight", "bias", ...}}``: the
+    #: caller's dict, or for a seeded build a read-only
+    #: :class:`~repro.nn.reference.SeededWeights` that draws them (once,
+    #: exactly ``init_weights``' arrays) only when a key is read.  The
+    #: build itself draws seeded weights straight into
+    #: ``program.dram_image``, which the simulator, the verifier and the
+    #: serving runtime read, so a flow that reads no key holds no float
+    #: copy.  ``None`` for a weightless timing-only build.
+    weights: Mapping[str, dict[str, np.ndarray]] | None = None
     seed: int = 0
     #: Per-stage build time split (``parse_s``, ``resolve_s``,
     #: ``nngen_s``, ``quantize_s``, ``compile_s``); a stage served from

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.compiler.address import AddressFlowGenerator
@@ -17,7 +20,12 @@ from repro.compiler.reduce import reduce_agus
 from repro.errors import CompileError, LayoutError
 from repro.fixedpoint.calibrate import calibrate_format
 from repro.fixedpoint.ops import quantize_to_ints, row_blocks
-from repro.nn.reference import ReferenceNetwork
+from repro.nn.reference import (
+    WEIGHT_SCALE,
+    ReferenceNetwork,
+    SeededWeights,
+    drawn_shapes,
+)
 from repro.nngen.design import AcceleratorDesign
 
 
@@ -37,7 +45,7 @@ class DeepBurningCompiler:
     def compile(
         self,
         design: AcceleratorDesign,
-        weights: dict[str, dict[str, np.ndarray]] | None = None,
+        weights: Mapping[str, dict[str, np.ndarray]] | None = None,
         calibration_inputs: list[np.ndarray] | None = None,
     ) -> ControlProgram:
         memory_map = build_memory_map(design.resolved, design.datapath.simd)
@@ -124,19 +132,31 @@ class DeepBurningCompiler:
         Elements are stored at the weight format's width
         (``QFormat.storage_dtype``).  Each layer is quantized straight
         into its region, a bounded block of rows at a time, so no
-        full-size float temporary exists.  The image is read-only: the
-        build pipeline shares one image between designs.  Feature
-        regions are zero-initialised; the host writes the input blob
-        before launch (the simulator's job).
+        full-size float temporary exists.  A :class:`SeededWeights` no
+        one has read yet, over the design's weighted layers in the
+        design's declaration order, is drawn here, block by block, from
+        a fresh generator in :func:`init_weights` order (``weight``
+        before ``recurrent_weight``): the generator consumes its stream
+        element by element, so the blocks hold exactly the values one
+        whole draw would, and no float copy of the weights is kept.
+        The image is read-only: the build pipeline shares one image
+        between designs.  Feature regions are zero-initialised; the host
+        writes the input blob before launch (the simulator's job).
         """
         image = np.zeros(memory_map.total_elements,
                          dtype=weight_format.storage_dtype)
-        for spec in design.graph.weighted_layers():
+        layers = design.graph.weighted_layers()
+        rng = None
+        if (isinstance(weights, SeededWeights) and not weights.drawn
+                and list(weights) == [spec.name for spec in layers]):
+            rng = np.random.default_rng(weights.seed)
+        for spec in layers:
             if spec.name not in weights:
                 raise CompileError(
                     f"no trained weights supplied for layer '{spec.name}'"
                 )
-            entry = weights[spec.name]
+            entry = (weights[spec.name] if rng is None
+                     else drawn_shapes(spec, weights.resolved))
             for key, target in memory_map.weights(spec.name).views(
                     image).items():
                 source = entry.get(key)
@@ -145,15 +165,29 @@ class DeepBurningCompiler:
                         continue  # a missing bias stays zero
                     raise CompileError(
                         f"layer '{spec.name}' has no '{key}' weights")
-                source = np.asarray(source)
-                if source.size != target.size:
+                size, block = _block_source(source, target, rng)
+                if size != target.size:
                     raise LayoutError(
-                        f"layer '{spec.name}': '{key}' has {source.size} "
+                        f"layer '{spec.name}': '{key}' has {size} "
                         f"elements, layout expects {target.size}"
                     )
-                source = source.reshape(target.shape)
-                for rows in row_blocks(source):
-                    quantize_to_ints(source[rows], weight_format,
+                for rows in row_blocks(target):
+                    quantize_to_ints(block(rows), weight_format,
                                      out=target[rows])
         image.flags.writeable = False
         return image
+
+
+def _block_source(source, target: np.ndarray,
+                  rng: np.random.Generator | None):
+    """One weight tensor's element count and its float rows of
+    ``target``'s shape: row slices of the caller's array (``rng`` is
+    None), or else, ``source`` being the drawn shape, the generator's
+    next draw at each block's shape."""
+    if rng is None:
+        array = np.asarray(source)
+        if array.size != target.size:
+            return array.size, None  # the caller raises LayoutError
+        return array.size, array.reshape(target.shape).__getitem__
+    return math.prod(source), lambda rows: rng.normal(
+        0.0, WEIGHT_SCALE, size=target[rows].shape)

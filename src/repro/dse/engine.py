@@ -295,19 +295,21 @@ def _design_group_key(pipe: BuildPipeline, graph: NetworkGraph, fp: str,
 
 def _prime_parent(pipe: BuildPipeline, graph: NetworkGraph, fp: str,
                   spec: SweepSpec) -> None:
-    """Populate the weight stage every worker needs before forking.
+    """Draw the float weights a functional sweep reads, once, before
+    any point is evaluated.
 
-    Fork-started children then inherit the initialized weights
-    copy-on-write instead of rebuilding them once per process.  A
-    failure is deliberately swallowed: the workers hit it again and
-    report it as structured infeasible results, exactly like a serial
-    sweep.
+    Every point's fidelity score reads them through the float
+    reference, so drawing them first lets each DRAM image quantize from
+    them instead of drawing the weights again, and fork-started
+    children inherit them copy-on-write instead of drawing them once
+    per process.  A failure is deliberately swallowed: the points hit
+    it again and report it as structured infeasible results.
     """
-    resolved = pipe.resolve(graph, fp)
     if not spec.functional:
         return
     try:
-        pipe.weights(resolved, fp, spec.seed)
+        weights, _ = pipe.weights(pipe.resolve(graph, fp), fp, spec.seed)
+        weights.arrays()
     except DeepBurningError:
         pass
 
@@ -378,8 +380,9 @@ def _evaluate_points(graph: NetworkGraph,
         pooled = workers > 1
     else:
         pooled = use_pool and workers > 1
-    if pooled:
+    if reps:
         _prime_parent(pipe, graph, fingerprint, spec)
+    if pooled:
         global _WORKER_STATE
         pool_kwargs: dict = {}
         if multiprocessing.get_start_method() == "fork":

@@ -10,7 +10,7 @@ handled by the compiler as state feedback through the connection box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import GraphError
 from repro.frontend.layers import (
@@ -20,6 +20,9 @@ from repro.frontend.layers import (
     layers_from_document,
 )
 from repro.frontend.prototxt import Message
+
+if TYPE_CHECKING:
+    from repro.frontend.resolver import ResolvedGraph
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ class NetworkGraph:
     def weighted_layers(self) -> list[LayerSpec]:
         return [spec for spec in self.layers if spec.kind.has_weights]
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, lowered: ResolvedGraph | None = None) -> str:
         """Stable content hash of the network structure.
 
         Hashes layers (all typed parameters), recurrent edges and
@@ -172,7 +175,8 @@ class NetworkGraph:
         digest is independent of declaration order.  The network *name*
         is deliberately excluded: two scripts describing the same
         topology hash identically.  Used as the design-cache key
-        component by :mod:`repro.dse`.
+        component by :mod:`repro.dse`.  ``lowered``: ``lower(self)``,
+        if the caller already holds it.
         """
         import hashlib
         import json
@@ -209,7 +213,7 @@ class NetworkGraph:
                 ],
             }
 
-        resolved = lower(self)
+        resolved = lower(self) if lowered is None else lowered
         shapes = {} if resolved.errors else {
             blob: list(shape.dims) for blob, shape in resolved.shapes.items()
         }

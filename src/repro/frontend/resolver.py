@@ -124,12 +124,14 @@ def lower(graph: NetworkGraph) -> ResolvedGraph:
         macs=macs, errors=tuple(errors))
 
 
-def resolve(graph: NetworkGraph) -> ResolvedGraph:
+def resolve(graph: NetworkGraph,
+            lowered: ResolvedGraph | None = None) -> ResolvedGraph:
     """Validate and resolve ``graph``; raises the first error
     (:class:`~repro.errors.GraphError` or a
-    :class:`~repro.errors.ShapeError` naming the layer)."""
+    :class:`~repro.errors.ShapeError` naming the layer).  ``lowered``:
+    ``lower(graph)``, if the caller already holds it."""
     graph.validate()
-    resolved = lower(graph)
+    resolved = lower(graph) if lowered is None else lowered
     if resolved.errors:
         raise resolved.errors[0]
     return resolved

@@ -7,6 +7,8 @@ baseline of Fig. 10.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,31 +22,107 @@ from repro.nn import functional as F
 
 LayerWeights = dict[str, np.ndarray]
 
+#: Standard deviation of the seeded Gaussian weights.
+WEIGHT_SCALE = 0.1
+
+
+def drawn_shapes(spec: LayerSpec,
+                 resolved: ResolvedGraph) -> dict[str, tuple[int, ...]]:
+    """The shape of each tensor :func:`init_weights` draws for one
+    weighted layer, in draw order (``weight``, then a recurrent layer's
+    ``recurrent_weight``)."""
+    shapes = {"weight": resolved.weight_shapes[spec.name]}
+    if spec.kind is LayerKind.RECURRENT:
+        shapes["recurrent_weight"] = (spec.num_output, spec.num_output)
+    return shapes
+
 
 def init_weights(
     graph: NetworkGraph,
     rng: np.random.Generator | None = None,
-    scale: float = 0.1,
+    scale: float = WEIGHT_SCALE,
     lowered: ResolvedGraph | None = None,
 ) -> dict[str, LayerWeights]:
-    """Random (Gaussian) weights for every weighted layer in the graph
-    (``lowered``: ``graph`` already resolved, if the caller holds it)."""
+    """Random (Gaussian) weights for every weighted layer in the graph,
+    drawn layer by layer in declaration order (``lowered``: ``graph``
+    already resolved, if the caller holds it)."""
     rng = rng or np.random.default_rng(0)
     resolved = lowered or resolve(graph)
     weights: dict[str, LayerWeights] = {}
     for spec in graph.weighted_layers():
-        wshape = resolved.weight_shapes[spec.name]
         entry: LayerWeights = {
-            "weight": rng.normal(0.0, scale, size=wshape),
-        }
+            key: rng.normal(0.0, scale, size=shape)
+            for key, shape in drawn_shapes(spec, resolved).items()}
         if spec.bias:
             entry["bias"] = np.zeros(spec.num_output)
-        if spec.kind is LayerKind.RECURRENT:
-            entry["recurrent_weight"] = rng.normal(
-                0.0, scale, size=(spec.num_output, spec.num_output)
-            )
         weights[spec.name] = entry
     return weights
+
+
+class SeededWeights(Mapping[str, LayerWeights]):
+    """The seeded Gaussian weights of a resolved graph, drawn on first
+    read.
+
+    Reads as ``init_weights(resolved.graph, default_rng(seed),
+    lowered=resolved)``, which runs once, under a lock, when a key is
+    first read.  Until then the weights exist only as their recipe: a
+    seeded build draws them block by block straight into its DRAM image
+    (:meth:`~repro.compiler.compiler.DeepBurningCompiler._build_dram_image`),
+    so a flow that never reads the floats holds no float copy.  Layer
+    names, membership, length, ``==`` (same recipe), ``repr`` and
+    pickling (the recipe only) never draw.
+    """
+
+    def __init__(self, resolved: ResolvedGraph, seed: int) -> None:
+        self.resolved = resolved
+        self.seed = seed
+        self._names = tuple(spec.name
+                            for spec in resolved.graph.weighted_layers())
+        self._arrays: dict[str, LayerWeights] | None = None
+        self._lock = threading.Lock()
+
+    @property
+    def drawn(self) -> bool:
+        """Whether the float weights exist yet."""
+        return self._arrays is not None
+
+    def arrays(self) -> dict[str, LayerWeights]:
+        """The float weights, drawn now if nothing has read them yet."""
+        with self._lock:
+            if self._arrays is None:
+                self._arrays = init_weights(
+                    self.resolved.graph, np.random.default_rng(self.seed),
+                    lowered=self.resolved)
+            return self._arrays
+
+    def __getitem__(self, name: str) -> LayerWeights:
+        return self.arrays()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def _recipe(self) -> tuple:
+        return (self.seed,
+                [(spec.name, drawn_shapes(spec, self.resolved))
+                 for spec in self.resolved.graph.weighted_layers()])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeededWeights):
+            return NotImplemented
+        return other is self or self._recipe() == other._recipe()
+
+    def __repr__(self) -> str:
+        return (f"SeededWeights({self.resolved.graph.name!r}, "
+                f"seed={self.seed}, drawn={self.drawn})")
+
+    def __reduce__(self):
+        return SeededWeights, (self.resolved, self.seed)
 
 
 @dataclass
@@ -52,7 +130,7 @@ class ReferenceNetwork:
     """Executes a network graph in float64 with explicit recurrent state."""
 
     graph: NetworkGraph
-    weights: dict[str, LayerWeights]
+    weights: Mapping[str, LayerWeights]
     dropout_rng: np.random.Generator | None = None
     #: When False (inference, the default) drop-out layers pass through,
     #: matching what the generated accelerator does at inference time.

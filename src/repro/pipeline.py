@@ -14,14 +14,16 @@ stage depends on:
 stage      key components
 ========== =========================================================
 resolve    graph fingerprint
-weights    fingerprint, seed
+weights    fingerprint, seed, declaration order (a lazy seeded source)
 datapath   fingerprint, budget (device + limits + label), formats
 design     fingerprint, budget, formats, *effective* lane/SIMD caps,
            fold-capacity scale
-compile    design key (the control program is weight-independent when
-           no calibration inputs are given)
-dram       fingerprint, seed, weight format, SIMD alignment
-reference  fingerprint, seed (float forward for fidelity scoring)
+compile    design key, declaration order (the control program is
+           weight-independent when no calibration inputs are given)
+dram       fingerprint, seed, declaration order, weight format, SIMD
+           alignment
+reference  fingerprint, seed, declaration order (float forward for
+           fidelity scoring)
 ========== =========================================================
 
 Keying the design stage on the *effective* datapath caps (after
@@ -32,9 +34,18 @@ The fingerprint excludes the network name, so a build that hits a
 design memoized for a same-topology graph under another name gets that
 design and its compiled core rebound to its own graph.
 
+The fingerprint ignores declaration order, but the seeded draw walks
+the weighted layers in that order, the memory map lays blobs and
+weights out in it, and an in-place reader sees the write declared
+before it.  So the three seeded stages and the compiled core also key
+on the layer names in declaration order.
+
 The ``dram`` stage's image, stored at the weight format's width, is the
-only integer copy of the weights: the functional executor and the
-verifier's range pass read views of it
+only integer copy of the weights, and a seeded build draws its Gaussian
+weights straight into it; the float weights
+(:class:`~repro.nn.reference.SeededWeights`) are drawn only if
+something reads them.  The functional executor and the verifier's
+range pass read views of the image
 (:meth:`~repro.compiler.program.ControlProgram.weight_views`).  The
 batched execution plan is not a stage: a served model packs its own
 from those views (``CompiledModel.execution_plan`` in
@@ -72,9 +83,10 @@ from repro.fixedpoint.format import (
     DEFAULT_WEIGHT_FORMAT,
     QFormat,
 )
+from repro.frontend import resolver
 from repro.frontend.graph import NetworkGraph
-from repro.frontend.resolver import ResolvedGraph, resolve
-from repro.nn.reference import init_weights
+from repro.frontend.resolver import ResolvedGraph
+from repro.nn.reference import SeededWeights, init_weights
 from repro.nngen.generator import NNGen
 
 #: Stage names, in flow order (used by stats reporting and the docs).
@@ -88,6 +100,10 @@ def stage_key(stage: str, **fields: object) -> str:
     record = {"stage": stage, **fields}
     canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _declaration_order(graph: NetworkGraph) -> list[str]:
+    return [spec.name for spec in graph.layers]
 
 
 def _budget_fields(budget: ResourceBudget) -> dict[str, object]:
@@ -189,8 +205,14 @@ class BuildPipeline:
         # Live-object fingerprint memo: graph hashing costs ~0.3 ms and
         # a sweep asks for the same graph's digest once per point.  The
         # weakref guard makes an id() collision (new graph at a dead
-        # graph's address) a recompute, never a wrong answer.
-        self._fingerprints: dict[int, tuple[Any, str]] = {}
+        # graph's address) a recompute, never a wrong answer.  Next to
+        # each digest sits the lowering it hashed, which the resolve
+        # stage reuses for that graph; it is held without its graph so
+        # the memo never keeps a graph alive.  A lowering with errors is
+        # not held: its errors would be raised again and again, each
+        # raise growing a traceback whose frames hold the graph.
+        self._fingerprints: dict[
+            int, tuple[Any, str, ResolvedGraph | None]] = {}
 
     # --- generic memoization ------------------------------------------
 
@@ -211,32 +233,46 @@ class BuildPipeline:
         the lifetime of its stage entries (every stage is keyed on this
         digest), so caching the digest per live object is free.
         """
+        return self._digest(graph)[0]
+
+    def _digest(self,
+                graph: NetworkGraph) -> tuple[str, ResolvedGraph | None]:
+        """The live graph's fingerprint and the lowering it hashed (held
+        with ``graph=None``; None if the lowering has errors)."""
         entry = self._fingerprints.get(id(graph))
-        if entry is not None and entry[0]() is graph:
-            return entry[1]
-        fp = graph.fingerprint()
-        if len(self._fingerprints) >= 16:
-            self._fingerprints = {
-                key: value for key, value in self._fingerprints.items()
-                if value[0]() is not None}
-        self._fingerprints[id(graph)] = (weakref.ref(graph), fp)
-        return fp
+        if entry is None or entry[0]() is not graph:
+            lowered = resolver.lower(graph)
+            if len(self._fingerprints) >= 16:
+                self._fingerprints = {
+                    key: value for key, value in self._fingerprints.items()
+                    if value[0]() is not None}
+            entry = (weakref.ref(graph), graph.fingerprint(lowered),
+                     None if lowered.errors
+                     else replace(lowered, graph=None))
+            self._fingerprints[id(graph)] = entry
+        return entry[1], entry[2]
 
     def resolve(self, graph: NetworkGraph, fp: str) -> ResolvedGraph:
-        """The resolved graph every later stage reads.  The fingerprint
-        ignores declaration order, which decides the in-place write a
-        reader sees, so a graph sharing it gets its own lowering."""
+        """The resolved graph every later stage reads: the lowering the
+        fingerprint hashed, validated.  The fingerprint ignores
+        declaration order, which decides the in-place write a reader
+        sees, so a graph sharing it gets its own lowering."""
+        def own() -> ResolvedGraph:
+            held = self._digest(graph)[1]
+            return resolver.resolve(
+                graph, None if held is None else replace(held, graph=graph))
+
         value, _ = self.cache.get_or_build(
-            "resolve", stage_key("resolve", fp=fp), lambda: resolve(graph))
-        return value if value.graph is graph else resolve(graph)
+            "resolve", stage_key("resolve", fp=fp), own)
+        return value if value.graph is graph else own()
 
     def weights(self, resolved: ResolvedGraph, fp: str, seed: int):
-        """Seeded Gaussian weights (the ``RANDOM_WEIGHTS`` default)."""
-        value, elapsed = self.cache.get_or_build(
-            "weights", stage_key("weights", fp=fp, seed=seed),
-            lambda: init_weights(resolved.graph, np.random.default_rng(seed),
-                                 lowered=resolved))
-        return value, elapsed
+        """Seeded Gaussian weights (the ``RANDOM_WEIGHTS`` default), as a
+        :class:`SeededWeights` that draws them only when read."""
+        return self.cache.get_or_build(
+            "weights", stage_key("weights", fp=fp, seed=seed,
+                                 order=_declaration_order(resolved.graph)),
+            lambda: SeededWeights(resolved, seed))
 
     def datapath(self, resolved: ResolvedGraph, fp: str,
                  budget: ResourceBudget, data_format: QFormat,
@@ -295,9 +331,12 @@ class BuildPipeline:
 
         With no calibration inputs the coordinator program, address
         plans, memory map, blob formats and LUTs depend only on the
-        design, so one compiled core serves every weight set.
+        design and on the declaration order its memory map lays blobs
+        and weights out in, so one compiled core serves every weight
+        set.
         """
-        key = stage_key("compile", design=design_key)
+        key = stage_key("compile", design=design_key,
+                        order=_declaration_order(design.graph))
         return self.cache.get_or_build(
             "compile", key,
             lambda: DeepBurningCompiler().compile(design, weights=None))
@@ -308,9 +347,10 @@ class BuildPipeline:
         """The quantized weight DRAM image for one compiled core.
 
         The image layout depends on the memory map (graph × SIMD
-        alignment), the weight values (fingerprint × seed) and the
-        weight format — nothing else, so sweep points that differ only
-        in budget knobs with the same SIMD width share one image.
+        alignment), the weight values (fingerprint × declaration order
+        × seed) and the weight format — nothing else, so sweep points
+        that differ only in budget knobs with the same SIMD width share
+        one image.
         """
         builder = DeepBurningCompiler()
 
@@ -323,6 +363,7 @@ class BuildPipeline:
             return build(), time.perf_counter() - started
         key = stage_key(
             "dram", fp=fp, seed=seed,
+            order=_declaration_order(design.graph),
             weight_bits=[weight_format.integer_bits,
                          weight_format.fraction_bits],
             simd=design.datapath.simd,
@@ -401,12 +442,13 @@ class BuildPipeline:
             max_lanes=max_lanes, max_simd=max_simd,
             fold_capacity_scale=fold_capacity_scale)
         timings["nngen_s"] = nngen_s
-        core, compile_s = self.compile_core(design, design_key)
-        timings["compile_s"] = compile_s
         if design.resolved is not resolved:
             # A hit on a same-fingerprint graph (another name, or another
             # declaration order): report and run this build's graph.
             design = replace(design, resolved=resolved)
+        core, compile_s = self.compile_core(design, design_key)
+        timings["compile_s"] = compile_s
+        if core.design is not design:
             core = replace(core, design=design)
 
         if seeded:
@@ -467,9 +509,9 @@ class BuildPipeline:
     def reference_output(self, artifacts):
         """Float-reference output for the artifacts' default input.
 
-        Depends only on (network, seed) — every design point of one
-        sweep shares it, so fidelity scoring pays the float forward
-        pass once.
+        Depends only on (network, declaration order, seed) — every
+        design point of one sweep shares it, so fidelity scoring pays
+        the float forward pass once.
         """
         from repro.nn.reference import ReferenceNetwork
 
@@ -483,7 +525,8 @@ class BuildPipeline:
             return build()
         return self.memo(
             "reference",
-            {"fp": keys["fingerprint"], "seed": artifacts.seed},
+            {"fp": keys["fingerprint"], "seed": artifacts.seed,
+             "order": _declaration_order(artifacts.graph)},
             build)
 
 

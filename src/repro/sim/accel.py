@@ -19,6 +19,7 @@ scale on a laptop — see DESIGN.md).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -187,7 +188,7 @@ class AcceleratorSimulator:
 
     def __init__(
         self, program: ControlProgram,
-        weights: dict[str, dict[str, np.ndarray]] | None = None,
+        weights: Mapping[str, dict[str, np.ndarray]] | None = None,
         plan: Callable[[], ExecutionPlan] | None = None,
     ) -> None:
         self.program = program

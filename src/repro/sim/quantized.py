@@ -10,6 +10,7 @@ accuracy loss Fig. 10 measures.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ class QuantizedExecutor:
     """Executes a network in the accelerator's fixed-point arithmetic."""
 
     graph: NetworkGraph
-    weights: dict[str, dict[str, np.ndarray]]
+    weights: Mapping[str, dict[str, np.ndarray]]
     blob_formats: dict[str, QFormat]
     weight_format: QFormat
     luts: dict[str, ApproxLUTContent] = field(default_factory=dict)
@@ -70,7 +71,7 @@ class QuantizedExecutor:
     @staticmethod
     def quantize_layer_weights(
         graph: NetworkGraph,
-        weights: dict[str, dict[str, np.ndarray]],
+        weights: Mapping[str, dict[str, np.ndarray]],
         weight_format: QFormat,
     ) -> dict[str, dict[str, np.ndarray]]:
         """Quantize every weighted layer's parameters to integers.
@@ -98,7 +99,7 @@ class QuantizedExecutor:
     @staticmethod
     def from_program(
         program: ControlProgram,
-        weights: dict[str, dict[str, np.ndarray]],
+        weights: Mapping[str, dict[str, np.ndarray]],
     ) -> "QuantizedExecutor":
         """The executor of a compiled program.
 

@@ -1,14 +1,24 @@
 """The DRAM image is the only integer copy of the weights.
 
 The compiler quantizes each weight set once, straight into the image at
-the weight format's storage width.  The functional executor, its
-execution plan and the range pass read views of that image.  These
-tests pin three things: the views hold exactly what quantizing the
-float weights gives; the image holds what the reference layout (each
-layer's weights, state-feedback rows and bias concatenated, then
-quantized to ``int64``) gives; and no reader makes a copy of its own.
+the weight format's storage width.  A seeded build draws its Gaussian
+weights block by block straight into the image; the float weights
+(``BuildArtifacts.weights``, a :class:`SeededWeights`) are drawn only
+when something reads them.  The functional executor, its execution plan
+and the range pass read views of the image.  These tests pin five
+things: the views hold exactly what quantizing the float weights gives;
+the image holds what the reference layout (each layer's weights,
+state-feedback rows and bias concatenated, then quantized to ``int64``)
+gives; the streamed image equals the image quantized from
+``init_weights``, byte for byte; the flow draws no float copy of the
+weights unless something reads it, and then draws it once; and no
+reader makes a copy of its own.
 """
 
+import pickle
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,9 +26,13 @@ import pytest
 
 from repro import api
 from repro.analysis import verify_artifacts
+from repro.compiler.compiler import DeepBurningCompiler
+from repro.fixedpoint.format import QFormat
 from repro.fixedpoint.ops import quantize_to_ints
 from repro.frontend import load
 from repro.frontend.layers import LayerKind
+from repro.nn import reference
+from repro.nn.reference import SeededWeights, init_weights
 from repro.pipeline import BuildPipeline
 from repro.sim.quantized import QuantizedExecutor
 from repro.zoo.models import BENCHMARKS, benchmark_graph
@@ -183,3 +197,147 @@ def test_executor_from_image_equals_executor_from_floats():
     assert set(actual) == set(expected)
     for blob, raw in actual.items():
         np.testing.assert_array_equal(raw, expected[blob], err_msg=blob)
+
+
+def _image_from_init_weights(artifacts, seed):
+    """The image quantized from one whole ``init_weights`` draw."""
+    design = artifacts.design
+    weights = init_weights(design.graph, np.random.default_rng(seed),
+                           lowered=design.resolved)
+    return DeepBurningCompiler()._build_dram_image(
+        design, artifacts.program.memory_map, weights,
+        artifacts.program.weight_format)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_streamed_image_equals_image_from_init_weights(name, seed):
+    artifacts = _build(benchmark_graph(name), seed=seed)
+    assert not artifacts.weights.drawn
+    image = artifacts.program.dram_image
+    expected = _image_from_init_weights(artifacts, seed)
+    assert image.dtype == expected.dtype
+    assert image.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["mnist", "hopfield"])
+def test_streamed_image_at_a_wider_storage_dtype(name):
+    fmt = QFormat(15, 16)
+    artifacts = _build(benchmark_graph(name), seed=3, weight_format=fmt)
+    image = artifacts.program.dram_image
+    assert image.dtype == np.int32
+    assert image.tobytes() == _image_from_init_weights(artifacts,
+                                                       3).tobytes()
+
+
+def test_drawn_weights_equal_init_weights():
+    artifacts = _build(benchmark_graph("hopfield"), seed=4)
+    graph = artifacts.graph
+    expected = init_weights(graph, np.random.default_rng(4))
+    assert list(artifacts.weights) == list(expected)
+    for layer, tensors in expected.items():
+        drawn = artifacts.weights[layer]
+        assert drawn.keys() == tensors.keys()
+        for key, value in tensors.items():
+            assert drawn[key].dtype == value.dtype
+            np.testing.assert_array_equal(drawn[key], value,
+                                          err_msg=f"{layer}/{key}")
+    # The quantized image built first reads the same values.
+    _assert_views_match_quantized(artifacts)
+
+
+def _count_draws(monkeypatch, delay_s: float = 0.0) -> list:
+    """Patch ``init_weights`` where :class:`SeededWeights` calls it to
+    log (and optionally slow down) every draw; returns the log."""
+    draws: list = []
+    draw = reference.init_weights
+
+    def logged(*args, **kwargs):
+        draws.append(threading.get_ident())
+        time.sleep(delay_s)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "init_weights", logged)
+    return draws
+
+
+def test_flow_draws_no_float_weights_and_the_reference_draws_once(
+        monkeypatch):
+    draws = _count_draws(monkeypatch)
+    pipe = BuildPipeline()
+    artifacts = api.build(benchmark_graph("mnist"), pipeline=pipe)
+    verify_artifacts(artifacts)
+    api.estimate(artifacts)
+    api.simulate(artifacts)
+    api.simulate(artifacts, functional=False)
+    assert draws == []
+    first = pipe.reference_output(artifacts)
+    assert len(draws) == 1
+    # Memoized, and the drawn weights are kept for the next reader.
+    np.testing.assert_array_equal(pipe.reference_output(artifacts), first)
+    assert artifacts.weights.drawn
+    assert len(draws) == 1
+
+
+def test_equality_repr_pickling_and_none_checks_never_draw(monkeypatch):
+    artifacts = _build(benchmark_graph("mnist"))
+    draws = _count_draws(monkeypatch)
+    weights = artifacts.weights
+    assert weights is not None
+    assert weights == weights
+    assert weights == SeededWeights(artifacts.design.resolved, seed=0)
+    assert weights != SeededWeights(artifacts.design.resolved, seed=1)
+    assert "drawn=False" in repr(weights)
+    repr(artifacts)
+    assert list(weights) == [spec.name for spec in
+                             artifacts.graph.weighted_layers()]
+    assert len(weights) == 4 and "ip1" in weights and "relu1" not in weights
+    copy = pickle.loads(pickle.dumps(weights))
+    assert copy == weights and not copy.drawn
+    assert draws == []
+    # Reading a key draws, once; the unpickled copy draws the same.
+    np.testing.assert_array_equal(copy["ip1"]["weight"],
+                                  weights["ip1"]["weight"])
+    assert len(draws) == 2
+
+
+def test_concurrent_first_reads_draw_once(monkeypatch):
+    """Eight threads (more than cores) read one undrawn source at the
+    same moment: one draw, and every reader gets its arrays."""
+    weights = _build(benchmark_graph("mnist")).weights
+    draws = _count_draws(monkeypatch, delay_s=0.02)
+    barrier = threading.Barrier(8, timeout=10)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append(weights["ip1"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(draws) == 1
+    assert len(seen) == 8 and all(entry is seen[0] for entry in seen)
+
+
+def test_seeded_build_allocates_no_float_copy_of_the_weights():
+    """A seeded build draws its weights straight into the image: its
+    traced peak stays below the float weights' size."""
+    tracemalloc.start()
+    try:
+        artifacts = _build(benchmark_graph("nin"))
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float_bytes = sum(value.nbytes for entry in artifacts.weights.values()
+                      for value in entry.values())
+    assert float_bytes > 59e6
+    assert build_peak < float_bytes

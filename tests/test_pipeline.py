@@ -9,9 +9,11 @@ Two properties anchor everything here:
   depend on it, no more and no fewer.
 """
 
+import gc
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from repro import api
 from repro.analysis import verify_artifacts
 from repro.dse import SweepPoint, SweepSpec, run_sweep
+from repro.errors import ShapeError
 from repro.fixedpoint.format import QFormat
 from repro.frontend import load, resolver
 from repro.pipeline import (
@@ -161,9 +164,10 @@ class TestResolveOnce:
     the resolved graph the design carries."""
 
     def test_build_resolves_once_and_readers_never(self, monkeypatch):
+        """One ``lower`` per cold build: the resolve stage validates the
+        lowering the fingerprint hashed."""
         graph = benchmark_graph("nin")
         pipe = BuildPipeline()
-        pipe.fingerprint(graph)  # the fingerprint lowers on its own
         lowered = []
         lower = resolver.lower
 
@@ -178,6 +182,39 @@ class TestResolveOnce:
         verify_artifacts(artifacts)
         api.simulate(artifacts)
         assert lowered == []
+
+    def test_fingerprint_memo_keeps_no_graph_alive(self, mnist):
+        pipe = BuildPipeline()
+        graph = replace(mnist, name="transient")
+        pipe.fingerprint(graph)
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
+
+    def test_fingerprint_memo_keeps_no_failing_graph_alive(self):
+        """A graph that loads but breaks a shape rule raises a fresh
+        error on every resolve, so no held traceback pins the graph."""
+        graph = load("\n".join([
+            'name: "too_many_classes"',
+            'layers { name: "data" type: DATA top: "data" '
+            'param { dim: 8 } }',
+            'layers { name: "ip1" type: INNER_PRODUCT bottom: "data" '
+            'top: "ip1" param { num_output: 4 } }',
+            'layers { name: "cls" type: CLASSIFIER bottom: "ip1" '
+            'top: "cls" param { top_k: 9 } }']), format="prototxt")
+        pipe = BuildPipeline()
+        fp = pipe.fingerprint(graph)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="top_k 9") as caught:
+                pipe.resolve(graph, fp)
+            errors.append(caught.value)
+        assert errors[0] is not errors[1]
+        alive = weakref.ref(graph)
+        del graph, caught, errors
+        gc.collect()
+        assert alive() is None
 
 
 class TestTransparency:
@@ -269,6 +306,71 @@ class TestTransparency:
             np.testing.assert_array_equal(batched.output, got["ip2"])
             outputs.append(got["ip2"])
         assert not np.array_equal(outputs[0], outputs[1])
+
+    @pytest.mark.parametrize("first, second", [
+        ("ipa", "ipb"),
+        ("relu1", "ip2"),
+    ], ids=["concat-branches", "reader-order"])
+    def test_declaration_order_reaches_the_seeded_stages(self, first,
+                                                         second):
+        """Two graphs that differ only in the declaration order of two
+        layers share a fingerprint.  ``concat-branches`` swaps the two
+        branches into one concat, which swaps the order the seeded
+        weights are drawn in and the blobs and weights are laid out in;
+        ``reader-order`` swaps an in-place writer and a reader of its
+        blob, which changes what the float reference computes.  Built
+        on one shared pipeline, each graph must get what a private
+        pipeline gives it."""
+        lines = {
+            "ipa": 'layers { name: "ipa" type: INNER_PRODUCT '
+                   'bottom: "data" top: "ipa" param { num_output: 6 } }',
+            "ipb": 'layers { name: "ipb" type: INNER_PRODUCT '
+                   'bottom: "data" top: "ipb" param { num_output: 5 } }',
+            "cat": 'layers { name: "cat" type: CONCAT bottom: "ipa" '
+                   'bottom: "ipb" top: "cat" }',
+            "relu1": 'layers { name: "relu1" type: RELU '
+                     'bottom: "cat" top: "cat" }',
+            "ip2": 'layers { name: "ip2" type: INNER_PRODUCT '
+                   'bottom: "cat" top: "ip2" param { num_output: 4 } }',
+        }
+
+        def script(swap):
+            names = ["ipa", "ipb", "cat", "relu1", "ip2"]
+            if swap:
+                i, j = names.index(first), names.index(second)
+                names[i], names[j] = names[j], names[i]
+            return "\n".join([
+                'name: "order_net"',
+                'layers { name: "data" type: DATA top: "data" '
+                'param { dim: 8 } }',
+                *(lines[name] for name in names)])
+
+        graphs = [load(script(swap), format="prototxt")
+                  for swap in (False, True)]
+        assert graphs[0].fingerprint() == graphs[1].fingerprint()
+        shared = BuildPipeline()
+        references = []
+        for graph in graphs:
+            got = api.build(graph, pipeline=shared)
+            private_pipe = BuildPipeline()
+            want = api.build(graph, pipeline=private_pipe)
+            assert got.weights.keys() == want.weights.keys()
+            for layer, tensors in want.weights.items():
+                assert got.weights[layer].keys() == tensors.keys()
+                for key, value in tensors.items():
+                    np.testing.assert_array_equal(
+                        got.weights[layer][key], value,
+                        err_msg=f"{layer}/{key}")
+            np.testing.assert_array_equal(got.program.dram_image,
+                                          want.program.dram_image)
+            np.testing.assert_array_equal(api.simulate(got).output,
+                                          api.simulate(want).output)
+            reference = shared.reference_output(got)
+            np.testing.assert_array_equal(
+                reference, private_pipe.reference_output(want))
+            references.append(reference)
+        if first == "relu1":
+            assert not np.array_equal(references[0], references[1])
 
     def test_shared_plan_outputs_match_private_plan(self, mnist):
         model = CompiledModel.build(mnist, fraction=0.2,
