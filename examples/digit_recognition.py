@@ -2,7 +2,8 @@
 
 The paper's MNIST use case at laptop scale: a small digit CNN is trained
 on the synthetic digit set, an accelerator is generated and compiled for
-it, Verilog is written to ``./quickstart_rtl/``, and the fixed-point
+it, Verilog is written to ``<tempdir>/deepburning_digit_rtl/`` (the
+system temporary directory) and linted, and the fixed-point
 accelerator classifies the held-out digits next to the float network.
 
 Run: ``python examples/digit_recognition.py``

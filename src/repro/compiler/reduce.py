@@ -26,6 +26,15 @@ def fields_for_patterns(patterns: list[AccessPattern]) -> tuple[str, ...]:
     return tuple(f for f in TEMPLATE_FIELDS if f in used) or ("start_address",)
 
 
+def pattern_rom(table: list[AccessPattern]) -> list[AccessPattern]:
+    """The rows an AGU's pattern ROM holds: one per coordinator-table
+    entry, in table order, so ``pattern_select`` is the table index the
+    coordinator states record.  An AGU with nothing to do holds one idle
+    row.  The ``agu_<role>_<field>.mem`` images carry exactly these rows.
+    """
+    return list(table) or [AccessPattern(start_address=0, x_length=1)]
+
+
 def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, AddressGenerationUnit]:
     """Replace the design's template AGUs with reduced instances.
 
@@ -45,11 +54,10 @@ def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, Add
         original = design.components.get(instance)
         if original is None:
             raise CompileError(f"design has no '{instance}' to reduce")
-        if not table:
-            # An AGU with nothing to do keeps the minimal template.
-            table = [AccessPattern(start_address=0, x_length=1)]
-        # Folds of one layer share a pattern shape; the hardware table
-        # stores one row per distinct shape, re-based per fold.
+        table = pattern_rom(table)
+        # Folds of one layer share a pattern shape, re-based per fold;
+        # the cost model prices the table by its distinct shapes, while
+        # the ROM holds every row (``rows``).
         distinct_shapes: list[AccessPattern] = []
         for pattern in table:
             if not any(pattern.same_shape(seen) for seen in distinct_shapes):
@@ -60,7 +68,8 @@ def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, Add
             n_patterns=len(distinct_shapes),
             address_width=original.address_width,
             burst_words=original.burst_words,
-            fields=fields_for_patterns(list(table)),
+            fields=fields_for_patterns(table),
+            rows=len(table),
         )
         design.components[instance] = agu
         reduced[instance] = agu

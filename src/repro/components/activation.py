@@ -93,6 +93,14 @@ class ActivationUnit(Component):
         ]
 
     @property
+    def function_code(self) -> int:
+        """The functions in ``func_select`` order, one decimal digit each
+        (1-based index into :attr:`SUPPORTED`): ``("relu", "sigmoid")``
+        is 12, ``("sigmoid", "relu")`` is 21."""
+        return int("".join(str(self.SUPPORTED.index(fn) + 1)
+                           for fn in self.functions))
+
+    @property
     def needs_lut(self) -> bool:
         return bool(self._luts)
 
@@ -125,7 +133,7 @@ class ActivationUnit(Component):
         return {
             "LANES": self.lanes,
             "WIDTH": self.width,
-            "FUNCS": len(self.functions),
+            "FUNCS": self.function_code,
             "LUT_ENTRIES": self.lut_entries if self.needs_lut else 0,
         }
 

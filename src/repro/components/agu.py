@@ -42,16 +42,25 @@ TEMPLATE_FIELDS = (
 
 
 class AddressGenerationUnit(Component):
-    """An AGU reduced to support ``n_patterns`` compiled access patterns."""
+    """An AGU reduced to support ``n_patterns`` compiled access patterns.
+
+    ``n_patterns`` counts the distinct pattern shapes and sizes the cost
+    model's table.  ``rows`` is the depth of the pattern ROM the RTL
+    template loads: one row per entry of the AGU's coordinator table
+    once the program is compiled (see :func:`repro.compiler.reduce.pattern_rom`),
+    ``n_patterns`` before that.  ``pattern_select`` indexes those rows.
+    """
 
     MODULE = "agu"
 
     def __init__(self, instance: str, role: AGURole, n_patterns: int,
                  address_width: int = 32, burst_words: int = 1,
-                 fields: tuple[str, ...] = TEMPLATE_FIELDS) -> None:
+                 fields: tuple[str, ...] = TEMPLATE_FIELDS,
+                 rows: int | None = None) -> None:
         super().__init__(instance)
+        rows = n_patterns if rows is None else rows
         _require_positive(n_patterns=n_patterns, address_width=address_width,
-                          burst_words=burst_words)
+                          burst_words=burst_words, rows=rows)
         unknown = [f for f in fields if f not in TEMPLATE_FIELDS]
         if unknown:
             raise ResourceError(f"unknown AGU template fields: {unknown}")
@@ -62,10 +71,17 @@ class AddressGenerationUnit(Component):
         self.address_width = address_width
         self.burst_words = burst_words
         self.fields = tuple(dict.fromkeys(fields))
+        self.rows = rows
 
     @property
     def pattern_select_width(self) -> int:
-        return max(1, (self.n_patterns - 1).bit_length())
+        return max(1, (self.rows - 1).bit_length())
+
+    @property
+    def field_mask(self) -> int:
+        """The kept fields as a bit mask over :data:`TEMPLATE_FIELDS`."""
+        return sum(1 << index for index, name in enumerate(TEMPLATE_FIELDS)
+                   if name in self.fields)
 
     def resource_cost(self) -> ResourceCost:
         # Pattern table in distributed RAM: one row of field constants per
@@ -99,5 +115,8 @@ class AddressGenerationUnit(Component):
             "PATTERNS": self.n_patterns,
             "ADDR_W": self.address_width,
             "BURST": self.burst_words,
-            "FIELDS": len(self.fields),
+            # Which fields are kept, not how many: two reductions that
+            # keep different fields render different modules.
+            "FIELDS": self.field_mask,
+            "ROWS": self.rows,
         }

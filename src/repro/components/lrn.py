@@ -58,4 +58,5 @@ class LRNUnit(Component):
         ]
 
     def parameters(self) -> dict[str, int]:
-        return {"MAX_LOCAL": self.max_local_size, "WIDTH": self.width}
+        return {"MAX_LOCAL": self.max_local_size, "WIDTH": self.width,
+                "LUT_ENTRIES": self.scale_lut.entries}

@@ -1,8 +1,8 @@
 """End-to-end integration: every paper benchmark through the full flow.
 
-Each of the nine zoo networks goes through generate → compile → emit →
-lint; the smaller ones additionally run a functional simulation checked
-against the float reference.
+Each of the 12 networks in ``zoo.BENCHMARKS`` goes through generate →
+compile → emit → lint; the smaller ones additionally run a functional
+simulation checked against the float reference.
 """
 
 import numpy as np
