@@ -36,8 +36,9 @@ def quantize_to_ints(values: np.ndarray, fmt: QFormat,
     Rounds to nearest (ties to even, numpy's default) and saturates to the
     representable range, which is what the accelerator's input stage does.
     ``out`` receives the result in place (an integer array of the same
-    shape and wide enough for ``fmt``, e.g. an arena buffer or a region
-    of the DRAM image) instead of a fresh allocation.
+    shape and wide enough for ``fmt``, e.g. a producer's buffer an
+    epilogue overwrites or a region of the DRAM image) instead of a
+    fresh allocation.
     """
     values = np.asarray(values, dtype=np.float64)
     scaled = np.rint(values / fmt.scale)

@@ -39,6 +39,9 @@ class ResolvedGraph:
     reads: tuple[tuple[int, ...], ...]
     #: Blob name -> value id of its last write.
     final: dict[str, int]
+    #: The network output blob: the first top of the last declared
+    #: layer whose tops feed nothing else ("" for a graph without one).
+    output: str
     #: Blob name -> (kernel, stride) of its first declared windowed
     #: (convolution or pooling) consumer, the sweep its tiling serves;
     #: a blob only linear readers consume is absent.
@@ -116,10 +119,12 @@ def lower(graph: NetworkGraph) -> ResolvedGraph:
         if spec.kind.has_weights:
             weight_shapes[spec.name] = weight_shape(spec, in_shape)
         macs[spec.name] = macs_for_layer(spec, in_shape, out_shape)
+    outputs = graph.outputs()
     return ResolvedGraph(
         graph=graph, layers=tuple(order),
         ids={spec.name: index for index, spec in enumerate(order)},
         shapes=shapes, reads=tuple(reads), final=final,
+        output=outputs[-1].tops[0] if outputs else "",
         windows=_consumer_geometry(graph), weight_shapes=weight_shapes,
         macs=macs, errors=tuple(errors))
 

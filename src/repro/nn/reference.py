@@ -191,11 +191,9 @@ class ReferenceNetwork:
 
     def output(self, inputs: np.ndarray | dict[str, np.ndarray]) -> np.ndarray:
         """Activation of the network's final output blob."""
-        blobs = self.forward(inputs)
-        outputs = self.graph.outputs()
-        if not outputs:
+        if not self.resolved.output:
             raise ShapeError("network has no output layer")
-        return blobs[outputs[-1].tops[0]]
+        return self.forward(inputs)[self.resolved.output]
 
     # ------------------------------------------------------------------
 

@@ -191,12 +191,8 @@ class InferenceServer:
             future.result()
 
     def _publish_plan_stats(self) -> None:
-        """Mirror the shared plan's optimizer stats into gauges.
-
-        ``plan_peak_arena_bytes`` is refreshed after every batch as
-        well — the arena high-water mark only exists once a serving flush
-        has actually run.
-        """
+        """Mirror the shared plan's optimizer stats into gauges, once at
+        warm-up: they are fixed when the plan is built."""
         if not self.functional:
             return
         artifacts = getattr(self.model, "artifacts", None)
@@ -208,8 +204,6 @@ class InferenceServer:
         stats = plan.stats()
         self.metrics.gauge("plan_total_steps").set(stats["total_steps"])
         self.metrics.gauge("plan_fused_steps").set(stats["fused_steps"])
-        self.metrics.gauge("plan_peak_arena_bytes").set(
-            stats["peak_arena_bytes"])
 
     def stop(self) -> None:
         """Drain the queue, run everything in flight, release workers."""
@@ -320,7 +314,6 @@ class InferenceServer:
             return
         for request, result in zip(live, results):
             self._complete_result(request, result, len(batch))
-        self._publish_plan_stats()
 
     def _serve_one(self, session, request: _Request,
                    batch_size: int) -> None:

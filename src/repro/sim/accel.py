@@ -261,7 +261,7 @@ class AcceleratorSimulator:
                 raise SimulationError("functional run needs an input array")
             executor = self._functional_executor()
             blobs = executor.forward(inputs, all_blobs=all_blobs)
-            output_blob = self.design.graph.outputs()[-1].tops[0]
+            output_blob = self.design.resolved.output
             outputs = dict(blobs)
             outputs["__output__"] = blobs[output_blob]
         return SimulationResult(
@@ -292,7 +292,7 @@ class AcceleratorSimulator:
         energy = energy_model.report(cycles)
         executor = self._functional_executor(batched=True)
         stacked = executor.forward_batch(batch, all_blobs=all_blobs)
-        output_blob = self.design.graph.outputs()[-1].tops[0]
+        output_blob = self.design.resolved.output
         results = []
         for index in range(len(batch)):
             outputs = {blob: array[index]

@@ -30,26 +30,25 @@ conv→activation→pool without round-tripping to memory:
 * **Serial node order** — nodes run one after another, in list order,
   on the calling thread, like the accelerator's fold phases on its one
   shared datapath; parallelism lives inside a node's batched GEMM.
-* **Liveness-based buffer arena** — every value's last reader node is
-  precomputed at build time; step outputs and GEMM/im2col scratch that
-  do not escape the flush are served from a size-classed recycling
-  :class:`BufferArena` and released right after that node.  The
-  arena's high-water mark is reported through
-  :meth:`ExecutionPlan.stats`.
+* **Liveness-dropped buffers** — every value's last reader node is
+  precomputed at build time; on the ``keep="output"`` serving path the
+  flush drops its reference to each value right after that node, so
+  numpy frees the buffer as soon as the serial order is done with it.
 
-There is one kernel per layer kind.  Allocation is a strategy handed to
-the kernel: the plan's arena on the ``keep="output"`` serving path, or
-:data:`PLAIN` (``np.empty``; release is a no-op) for buffers that
-outlive the flush — every blob of a ``keep="all"`` inspection flush,
-recurrent state, classifier indices and the network output.
+There is one kernel per layer kind, and each allocates with plain
+numpy.  The MAC kernels requantize their ``int64`` accumulator in place
+and return it.  A gathered convolution gathers and GEMMs a bounded
+block of samples at a time (about ``ROW_BLOCK_ELEMENTS`` im2col
+elements, see :mod:`repro.fixedpoint.ops`), the way NN-Gen tiles a
+layer to fit its on-chip buffer, so a large batch never materializes one
+multi-megabyte columns tensor.  A plan holds no per-flush mutable
+state: concurrent flushes may share it.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, cast
+from typing import Any, Callable, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -58,6 +57,7 @@ from repro.compiler.lut import ApproxLUTContent
 from repro.errors import SimulationError
 from repro.fixedpoint.format import QFormat
 from repro.fixedpoint.ops import (
+    ROW_BLOCK_ELEMENTS,
     accumulator_format,
     dequantize,
     float_gemm_exact,
@@ -83,8 +83,8 @@ _INPLACE_KINDS = frozenset({
     LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.DROPOUT,
 })
 #: Step kinds whose results escape the flush (recurrent state persists
-#: across calls; classifier indices go straight to the caller), so they
-#: must never live on the arena.
+#: across calls; classifier indices go straight to the caller), so no
+#: epilogue may overwrite them in place.
 _ESCAPING_KINDS = frozenset({LayerKind.RECURRENT, LayerKind.CLASSIFIER})
 
 
@@ -114,154 +114,6 @@ def _bias_in_accumulator(bias: AnyArray | None, acc_fmt: QFormat,
         return None
     shift = acc_fmt.fraction_bits - weight_fmt.fraction_bits
     return cast(IntArray, bias.astype(np.int64) << np.int64(shift))
-
-
-# ----------------------------------------------------------------------
-# Buffer arena
-
-class BufferArena:
-    """Size-classed recycling pool for flush-lifetime buffers.
-
-    Blocks are flat ``uint8`` arrays in power-of-two size classes
-    (minimum 512 bytes).  :meth:`take` hands out a typed, shaped view of
-    a free block (allocating a new block only on a pool miss) and
-    :meth:`release` returns the view's underlying block to its free
-    list.  Blocks are owned forever once allocated, so across flushes a
-    plan's working set stabilizes to a handful of reused blocks instead
-    of fresh ``np.empty`` calls per layer per flush.
-
-    Releasing an array the arena does not own is a no-op, so callers can
-    uniformly release every value they are done with.  All bookkeeping
-    is lock-protected; concurrent flushes (server worker threads
-    sharing one plan) simply draw more blocks.
-    """
-
-    _MIN_BLOCK = 512
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._free: dict[int, list[npt.NDArray[np.uint8]]] = {}
-        #: id() -> block for every block ever allocated; keeps blocks
-        #: alive (ids stable) and marks ownership for :meth:`release`.
-        self._blocks: dict[int, npt.NDArray[np.uint8]] = {}
-        self._in_use_bytes = 0
-        #: Total bytes of blocks ever allocated (the resident pool).
-        self.pool_bytes = 0
-        #: High-water mark of concurrently checked-out bytes.
-        self.peak_bytes = 0
-        self.takes = 0
-        self.misses = 0
-
-    @staticmethod
-    def _class_for(nbytes: int) -> int:
-        size = BufferArena._MIN_BLOCK
-        while size < nbytes:
-            size <<= 1
-        return size
-
-    def take(self, shape: tuple[int, ...], dtype: Any) -> AnyArray:
-        """A writable ``shape``/``dtype`` array backed by a pool block."""
-        dt = np.dtype(dtype)
-        nbytes = dt.itemsize * math.prod(shape)
-        if nbytes == 0:
-            return np.empty(shape, dtype=dt)
-        size_class = self._class_for(nbytes)
-        with self._lock:
-            stack = self._free.get(size_class)
-            block = stack.pop() if stack else None
-            self.takes += 1
-            if block is None:
-                self.misses += 1
-            self._in_use_bytes += size_class
-            if self._in_use_bytes > self.peak_bytes:
-                self.peak_bytes = self._in_use_bytes
-        if block is None:
-            block = np.empty(size_class, dtype=np.uint8)
-            with self._lock:
-                self._blocks[id(block)] = block
-                self.pool_bytes += size_class
-        view = block[:nbytes].view(dt).reshape(shape)
-        return cast(AnyArray, view)
-
-    def release(self, array: AnyArray) -> None:
-        """Return ``array``'s block to the pool; no-op if not arena-owned."""
-        base: Any = array
-        while isinstance(base, np.ndarray) and base.base is not None:
-            base = base.base
-        if not isinstance(base, np.ndarray) or base.dtype != np.uint8 \
-                or base.ndim != 1:
-            return
-        block = cast(npt.NDArray[np.uint8], base)
-        with self._lock:
-            if id(block) not in self._blocks:
-                return
-            self._free.setdefault(block.nbytes, []).append(block)
-            self._in_use_bytes -= block.nbytes
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "pool_bytes": self.pool_bytes,
-                "peak_bytes": self.peak_bytes,
-                "in_use_bytes": self._in_use_bytes,
-                "takes": self.takes,
-                "misses": self.misses,
-            }
-
-
-class Allocator(Protocol):
-    """Where a kernel's output and scratch buffers come from."""
-
-    def take(self, shape: tuple[int, ...], dtype: Any) -> AnyArray: ...
-
-    def release(self, array: AnyArray) -> None: ...
-
-
-class _PlainAllocator:
-    """Fresh ``np.empty`` buffers the caller owns; release is a no-op."""
-
-    def take(self, shape: tuple[int, ...], dtype: Any) -> AnyArray:
-        return np.empty(shape, dtype=dtype)
-
-    def release(self, array: AnyArray) -> None:
-        pass
-
-
-#: The allocator for buffers that outlive the flush.
-PLAIN: Allocator = _PlainAllocator()
-
-
-class _Scratch:
-    """One block carved into a kernel's scratch views.
-
-    A kernel needing several flush-lifetime temporaries pays one
-    take/release round trip instead of one per buffer; carved views are
-    64-byte aligned within the block.
-    """
-
-    __slots__ = ("_alloc", "_block", "_offset")
-
-    _ALIGN = 64
-
-    @staticmethod
-    def aligned(nbytes: int) -> int:
-        return (nbytes + _Scratch._ALIGN - 1) & ~(_Scratch._ALIGN - 1)
-
-    def __init__(self, alloc: Allocator, nbytes: int) -> None:
-        self._alloc = alloc
-        self._block = alloc.take((nbytes,), np.uint8)
-        self._offset = 0
-
-    def carve(self, shape: tuple[int, ...], dtype: Any) -> AnyArray:
-        dt = np.dtype(dtype)
-        nbytes = dt.itemsize * math.prod(shape)
-        start = self._offset
-        self._offset = start + self.aligned(nbytes)
-        view = self._block[start:start + nbytes].view(dt).reshape(shape)
-        return cast(AnyArray, view)
-
-    def close(self) -> None:
-        self._alloc.release(self._block)
 
 
 @dataclass
@@ -299,9 +151,6 @@ class LayerStep:
     # --- filled in by the plan optimizer ---------------------------------
     #: Whether this step was folded onto its producer as an epilogue.
     fused: bool = False
-    #: Whether the step's result buffer may come from the arena in
-    #: output-retention mode (its value does not escape the flush).
-    use_arena: bool = False
     #: Whether the step may overwrite its (single) input buffer in
     #: output-retention mode.
     inplace: bool = False
@@ -327,12 +176,10 @@ class ExecutionPlan:
     #: Execution order: one node per fusion chain (an anchor step index
     #: plus its fused epilogues), topologically ordered.
     nodes: list[list[int]] = field(default_factory=list)
-    #: Canonical buffer groups from in-place epilogue aliasing:
-    #: canonical vid -> every vid sharing its buffer.
-    aliases: dict[int, list[int]] = field(default_factory=dict)
-    #: Arena-owned canonical vids to release after each node.
-    release_after_node: list[list[int]] = field(default_factory=list)
-    arena: BufferArena = field(default_factory=BufferArena)
+    #: Per node: the vids whose references an output-retention flush
+    #: drops after it (each value's last reader node, or its writer's
+    #: if nothing reads it); the network output is never dropped.
+    drop_after_node: list[list[int]] = field(default_factory=list)
     fused_steps: int = 0
 
     # ------------------------------------------------------------------
@@ -350,7 +197,7 @@ class ExecutionPlan:
         if len(data_layers) != 1:
             raise SimulationError("execution plan expects a single input")
         input_blob = data_layers[0].tops[0]
-        output_blob = resolved.graph.outputs()[-1].tops[0]
+        output_blob = resolved.output
         steps: list[LayerStep] = []
         for layer_id, spec in enumerate(resolved.layers):
             if spec.kind is LayerKind.DATA:
@@ -425,11 +272,9 @@ class ExecutionPlan:
 
     def _analyze(self) -> None:
         readers: list[list[int]] = [[] for _ in range(self.n_values)]
-        writer: dict[int, int] = {}
         for i, step in enumerate(self.steps):
             for v in step.in_vids:
                 readers[v].append(i)
-            writer[step.out_vid] = i
 
         # Epilogue fusion: greedily chain each step with the single
         # reader of its value while that reader is a legal epilogue.
@@ -464,72 +309,51 @@ class ExecutionPlan:
         # chain's anchor, so running whole chains in list order never
         # reads a value before it is written.
         self.nodes = chains
-        node_of_step: dict[int, int] = {}
-        for ni, chain in enumerate(chains):
-            for si in chain:
-                node_of_step[si] = ni
 
-        # In-place epilogues and buffer aliasing (output mode only).
-        # An epilogue may overwrite its producer's buffer when shapes
-        # match, the producer's value does not persist (recurrent state
-        # does), and the result is not the network output.
-        canonical = list(range(self.n_values))
+        # In-place epilogues (output mode only).  An epilogue may
+        # overwrite its producer's buffer when shapes match, the
+        # producer's value does not persist (recurrent state does), and
+        # the result is not the network output.
         for chain in chains:
             for prev, cur in zip(chain, chain[1:]):
                 step = self.steps[cur]
                 step.fused = True
-                producer = self.steps[prev]
                 if step.spec.kind in _INPLACE_KINDS \
-                        and producer.spec.kind not in _ESCAPING_KINDS \
+                        and self.steps[prev].spec.kind not in _ESCAPING_KINDS \
                         and step.out_vid != self.output_vid:
                     step.inplace = True
-                    canonical[step.out_vid] = canonical[step.in_vids[0]]
-        for step in self.steps:
-            step.use_arena = (
-                not step.inplace
-                and step.spec.kind not in _ESCAPING_KINDS
-                and step.out_vid != self.output_vid
-            )
 
-        self.aliases = {}
-        for v, c in enumerate(canonical):
-            self.aliases.setdefault(c, []).append(v)
-
-        # Liveness: each arena-owned canonical buffer is released after
-        # the last node that reads any of its aliases.
-        self.release_after_node = [[] for _ in self.nodes]
-        for c, group in self.aliases.items():
-            if c == self.input_vid:
-                last = 0  # the quantized input lives on the arena
-            elif self.steps[writer[c]].use_arena:
-                last = node_of_step[writer[c]]
-            else:
-                continue
-            for v in group:
-                for r in readers[v]:
-                    last = max(last, node_of_step[r])
-            self.release_after_node[last].append(c)
+        # Liveness: nodes run in list order, so a value's last node is
+        # the highest-numbered node that writes or reads it.
+        last = {self.input_vid: 0}
+        for ni, chain in enumerate(chains):
+            for si in chain:
+                step = self.steps[si]
+                for v in (*step.in_vids, step.out_vid):
+                    last[v] = ni
+        last.pop(self.output_vid, None)
+        self.drop_after_node = [[] for _ in chains]
+        for v, ni in last.items():
+            self.drop_after_node[ni].append(v)
 
     # ------------------------------------------------------------------
     # Introspection
 
     def stats(self) -> dict[str, int]:
-        """Optimizer and arena counters for metrics and bench tables."""
-        arena = self.arena.snapshot()
+        """Optimizer counters for metrics and bench tables.
+
+        ``peak_arena_bytes`` is always 0: the plan has no buffer arena
+        any more.  The key is kept only because ``bench/workloads.py``
+        reads it.
+        """
         return {
             "total_steps": len(self.steps),
             "fused_steps": self.fused_steps,
-            "peak_arena_bytes": arena["peak_bytes"],
-            "arena_pool_bytes": arena["pool_bytes"],
+            "peak_arena_bytes": 0,
         }
 
     def summary(self) -> str:
-        stats = self.stats()
-        return (
-            f"plan steps={stats['total_steps']} "
-            f"fused={stats['fused_steps']} "
-            f"peak_arena_bytes={stats['peak_arena_bytes']}"
-        )
+        return f"plan steps={len(self.steps)} fused={self.fused_steps}"
 
     # ------------------------------------------------------------------
     # Batched execution
@@ -546,39 +370,29 @@ class ExecutionPlan:
         ``state`` is the executor's recurrent-state dict; batched entries
         carry the batch dimension ``(N, Out)`` and evolve per sample.
 
-        ``keep="all"`` returns every blob (the inspection contract):
-        every buffer comes from :data:`PLAIN`, so the caller owns each
-        returned blob and the plan's arena is never touched.
+        ``keep="all"`` returns every blob (the inspection contract): each
+        is its own fresh buffer, which the caller owns outright.
         ``keep="output"`` is the serving hot path: only the network
-        output survives the flush, intermediate values live on the
-        plan's arena and are recycled after their last reader node, and
-        same-shape epilogues run in place.  Both retention modes run
-        the same kernels and produce bit-identical values.
+        output survives the flush, every other value is dropped after
+        its last reader node, and same-shape epilogues run in place.
+        Both retention modes run the same kernels and produce
+        bit-identical values.
         """
         if keep not in ("all", "output"):
             raise SimulationError(
                 f"unknown retention mode '{keep}' (expected 'all' or 'output')")
         hot = keep == "output"
         values: list[AnyArray | None] = [None] * self.n_values
-        source = np.asarray(inputs, dtype=np.float64)
-        alloc: Allocator = self.arena if hot else PLAIN
-        values[self.input_vid] = quantize_to_ints(
-            source, self.input_fmt, out=alloc.take(source.shape, np.int64))
-        for node, releases in zip(self.nodes, self.release_after_node):
+        values[self.input_vid] = quantize_to_ints(inputs, self.input_fmt)
+        for node, drops in zip(self.nodes, self.drop_after_node):
             for si in node:
                 step = self.steps[si]
                 raw_inputs = [cast(AnyArray, values[v]) for v in step.in_vids]
-                step_alloc = alloc if step.use_arena else PLAIN
                 values[step.out_vid] = self._run_step(
-                    step, raw_inputs, state, step_alloc,
-                    inplace=hot and step.inplace)
+                    step, raw_inputs, state, inplace=hot and step.inplace)
             if hot:
-                for c in releases:
-                    held = values[c]
-                    if held is not None:
-                        self.arena.release(held)
-                    for v in self.aliases.get(c, [c]):
-                        values[v] = None
+                for v in drops:
+                    values[v] = None
         if hot:
             output = values[self.output_vid]
             if output is None:
@@ -593,8 +407,7 @@ class ExecutionPlan:
         return result
 
     def _run_step(self, step: LayerStep, raw_inputs: list[AnyArray],
-                  state: dict[str, IntArray], alloc: Allocator,
-                  inplace: bool) -> IntArray:
+                  state: dict[str, IntArray], inplace: bool) -> IntArray:
         spec = step.spec
         kind = spec.kind
         first = raw_inputs[0] if raw_inputs else None
@@ -602,19 +415,19 @@ class ExecutionPlan:
         out_fmt = step.out_fmt
 
         if kind.is_convolution:
-            return self._conv(step, cast(IntArray, first), alloc)
+            return self._conv(step, cast(IntArray, first))
         if kind is LayerKind.INNER_PRODUCT or kind is LayerKind.ASSOCIATIVE:
-            return self._dense(step, cast(IntArray, first), alloc)
+            return self._dense(step, cast(IntArray, first))
         if kind is LayerKind.RECURRENT:
             return self._recurrent(step, cast(IntArray, first), state)
         if kind is LayerKind.POOLING:
-            return self._pool(step, cast(IntArray, first), alloc)
+            return self._pool(step, cast(IntArray, first))
         if kind is LayerKind.LRN:
-            return self._lrn(step, cast(IntArray, first), alloc)
+            return self._lrn(step, cast(IntArray, first))
         if kind is LayerKind.CONCAT:
-            return self._concat(step, raw_inputs, alloc)
+            return self._concat(step, raw_inputs)
         if kind is LayerKind.ELTWISE:
-            return self._eltwise(step, raw_inputs, alloc)
+            return self._eltwise(step, raw_inputs)
         if kind is LayerKind.CLASSIFIER:
             return cast(IntArray,
                         F.argmax_classifier_batch(cast(IntArray, first),
@@ -622,16 +435,14 @@ class ExecutionPlan:
         assert first is not None
         if kind is LayerKind.SOFTMAX:
             probabilities = F.softmax_batch(dequantize(first, first_fmt))
-            out = cast(IntArray, alloc.take(probabilities.shape, np.int64))
-            return cast(IntArray,
-                        quantize_to_ints(probabilities, out_fmt, out=out))
+            return cast(IntArray, quantize_to_ints(probabilities, out_fmt))
         # Same-shape elementwise kernels: write in place on the
         # producer's buffer when the plan allows it.
-        out = cast(IntArray, first if inplace
-                   else alloc.take(first.shape, np.int64))
+        out = first if inplace else None
         if kind is LayerKind.RELU:
-            np.maximum(first, 0, out=out)
-            return cast(IntArray, requantize(out, first_fmt, out_fmt, out=out))
+            rectified = np.maximum(first, 0, out=out)
+            return cast(IntArray, requantize(rectified, first_fmt, out_fmt,
+                                             out=rectified))
         if kind in (LayerKind.SIGMOID, LayerKind.TANH):
             assert step.lut is not None
             values = step.lut.evaluate(dequantize(first, first_fmt))
@@ -641,10 +452,9 @@ class ExecutionPlan:
                                              out=out))
         raise SimulationError(f"batched execution has no rule for {kind}")
 
-    def _conv(self, step: LayerStep, raw: IntArray,
-              alloc: Allocator) -> IntArray:
+    def _conv(self, step: LayerStep, raw: IntArray) -> IntArray:
         spec = step.spec
-        count, channels = raw.shape[0], raw.shape[1]
+        count, channels, height, width = raw.shape
         groups = conv_groups(spec, channels)
         dout_per_group = step.weights[0].shape[1]
         dout = dout_per_group * groups
@@ -655,57 +465,45 @@ class ExecutionPlan:
             # the gathered GEMM but every intermediate is exact (the
             # float GEMM is only packed under the 2^53 bound), so the
             # integers are identical.
-            return self._pointwise_conv(step, raw, alloc, count, channels,
-                                        groups, dout)
-        cin_per_group = channels // groups
-        height_p = raw.shape[2] + 2 * spec.pad
-        width_p = raw.shape[3] + 2 * spec.pad
+            return self._pointwise_conv(step, raw, groups, dout)
         assert step.acc_fmt is not None and step.gather is not None
-        # All GEMM/gather scratch is carved out of one block, in the
-        # GEMM's dtype except for the int64 accumulator, and the result
-        # buffer is drawn from (and returned to) the allocator.
+        pad = spec.pad
         dtype = step.weights[0].dtype
         patches = step.out_h * step.out_w
-        kernel_elems = step.gather.shape[1]
-        scratch = _Scratch(
-            alloc,
-            _Scratch.aligned(dtype.itemsize * count * channels
-                             * height_p * width_p)
-            + _Scratch.aligned(dtype.itemsize * count * patches
-                               * kernel_elems)
-            + _Scratch.aligned(dtype.itemsize * count * patches
-                               * dout_per_group)
-            + _Scratch.aligned(8 * count * dout * patches))
-        # Pad straight into the GEMM-dtype slab: one write pass.
-        padded = scratch.carve((count, channels, height_p, width_p), dtype)
-        if spec.pad:
-            padded.fill(0)
-            padded[:, :, spec.pad:height_p - spec.pad,
-                   spec.pad:width_p - spec.pad] = raw
-        else:
-            padded[...] = raw
-        source = padded.reshape(count, groups,
-                                cin_per_group * height_p * width_p)
-        columns = scratch.carve((count, patches, kernel_elems), dtype)
-        product = scratch.carve((count, patches, dout_per_group), dtype)
-        acc = scratch.carve((count, dout, patches), np.int64)
-        for g in range(groups):
-            np.take(source[:, g], step.gather, axis=1, out=columns)
-            np.matmul(columns, step.weights[g], out=product)
-            np.copyto(acc[:, g * dout_per_group:(g + 1) * dout_per_group],
-                      product.transpose(0, 2, 1), casting="unsafe")
+        # Gather and GEMM a block of samples at a time, so the im2col
+        # columns stay near ROW_BLOCK_ELEMENTS (one sample's at least)
+        # however large the batch.  Every GEMM is exact, so blocking
+        # leaves the integers unchanged.
+        block = max(1, min(count, ROW_BLOCK_ELEMENTS // step.gather.size))
+        # The GEMM-dtype pad slab's zero border is written once; each
+        # block overwrites only its interior.
+        padded = np.zeros((block, channels, height + 2 * pad,
+                           width + 2 * pad), dtype)
+        interior = padded[:, :, pad:pad + height, pad:pad + width]
+        source = padded.reshape(block, groups, -1)
+        columns = np.empty((block, *step.gather.shape), dtype)
+        product = np.empty((block, patches, dout_per_group), dtype)
+        acc = np.empty((count, dout, patches), np.int64)
+        for start in range(0, count, block):
+            n = min(block, count - start)
+            interior[:n] = raw[start:start + n]
+            for g in range(groups):
+                # The gather indices are in range by construction, so
+                # mode="clip" changes nothing but lets np.take write
+                # straight into ``out`` instead of a buffered copy.
+                np.take(source[:n, g], step.gather, axis=1,
+                        out=columns[:n], mode="clip")
+                np.matmul(columns[:n], step.weights[g], out=product[:n])
+                np.copyto(acc[start:start + n,
+                              g * dout_per_group:(g + 1) * dout_per_group],
+                          product[:n].transpose(0, 2, 1), casting="unsafe")
         if step.bias_acc is not None:
             acc += step.bias_acc[:, None]
-        out = cast(IntArray, alloc.take(
-            (count, dout, step.out_h, step.out_w), np.int64))
-        requantize(acc.reshape(count, dout, step.out_h, step.out_w),
-                   step.acc_fmt, step.out_fmt, out=out)
-        scratch.close()
-        return out
+        requantize(acc, step.acc_fmt, step.out_fmt, out=acc)
+        return acc.reshape(count, dout, step.out_h, step.out_w)
 
-    def _pointwise_conv(self, step: LayerStep, raw: IntArray,
-                        alloc: Allocator, count: int, channels: int,
-                        groups: int, dout: int) -> IntArray:
+    def _pointwise_conv(self, step: LayerStep, raw: IntArray, groups: int,
+                        dout: int) -> IntArray:
         """1x1 / stride-1 / pad-0 convolution without im2col.
 
         The patch axis is the flattened spatial axis, so the GEMM runs
@@ -714,20 +512,14 @@ class ExecutionPlan:
         concatenation.
         """
         assert step.acc_fmt is not None
+        count, channels = raw.shape[0], raw.shape[1]
         dtype = step.weights[0].dtype
         patches = step.out_h * step.out_w
-        cin_per_group = channels // groups
         dout_per_group = dout // groups
-        scratch = _Scratch(
-            alloc,
-            _Scratch.aligned(dtype.itemsize * raw.size)
-            + _Scratch.aligned(dtype.itemsize * count * dout_per_group
-                               * patches)
-            + _Scratch.aligned(8 * count * dout * patches))
-        data = scratch.carve((count, groups, cin_per_group, patches), dtype)
-        np.copyto(data, raw.reshape(count, groups, cin_per_group, patches))
-        product = scratch.carve((count, dout_per_group, patches), dtype)
-        acc = cast(IntArray, scratch.carve((count, dout, patches), np.int64))
+        data = raw.reshape(count, groups, channels // groups, patches) \
+            .astype(dtype, copy=False)
+        product = np.empty((count, dout_per_group, patches), dtype)
+        acc = np.empty((count, dout, patches), np.int64)
         for g in range(groups):
             # (Dout/g, Cin/g) @ (N, Cin/g, P) -> (N, Dout/g, P); the
             # stored weight is the (Cin/g, Dout/g) operand, so its
@@ -737,43 +529,23 @@ class ExecutionPlan:
                       product, casting="unsafe")
         if step.bias_acc is not None:
             acc += step.bias_acc[:, None]
-        out = cast(IntArray, alloc.take(
-            (count, dout, step.out_h, step.out_w), np.int64))
-        requantize(acc, step.acc_fmt, step.out_fmt,
-                   out=out.reshape(count, dout, patches))
-        scratch.close()
-        return out
+        requantize(acc, step.acc_fmt, step.out_fmt, out=acc)
+        return acc.reshape(count, dout, step.out_h, step.out_w)
 
-    def _dense(self, step: LayerStep, raw: IntArray,
-               alloc: Allocator) -> IntArray:
+    def _dense(self, step: LayerStep, raw: IntArray) -> IntArray:
         assert step.acc_fmt is not None
         weight = step.weights[0]
         flat = raw.reshape(raw.shape[0], -1)
-        count = flat.shape[0]
-        dout = weight.shape[1]
-        scratch = _Scratch(
-            alloc,
-            _Scratch.aligned(weight.dtype.itemsize * flat.size)
-            + _Scratch.aligned(weight.dtype.itemsize * count * dout)
-            + _Scratch.aligned(8 * count * dout))
-        operand = scratch.carve(flat.shape, weight.dtype)
-        np.copyto(operand, flat)
-        product = scratch.carve((count, dout), weight.dtype)
-        np.matmul(operand, weight, out=product)
-        acc = cast(IntArray, scratch.carve((count, dout), np.int64))
-        np.copyto(acc, product, casting="unsafe")
+        product = np.matmul(flat.astype(weight.dtype, copy=False), weight)
+        acc = cast(IntArray, product.astype(np.int64, copy=False))
         if step.bias_acc is not None:
             acc += step.bias_acc
-        out = cast(IntArray, alloc.take((count, dout), np.int64))
-        requantize(acc, step.acc_fmt, step.out_fmt, out=out)
-        scratch.close()
-        return out
+        return cast(IntArray,
+                    requantize(acc, step.acc_fmt, step.out_fmt, out=acc))
 
     def _recurrent(self, step: LayerStep, raw: IntArray,
                    state: dict[str, IntArray]) -> IntArray:
-        # Recurrent results persist in ``state`` across flushes, so this
-        # kernel always allocates off-arena.
-        drive = self._dense(step, raw, PLAIN)
+        drive = self._dense(step, raw)
         previous = state.get(step.spec.name)
         if previous is not None:
             if previous.shape != drive.shape:
@@ -794,8 +566,7 @@ class ExecutionPlan:
         state[step.spec.name] = drive
         return drive
 
-    def _pool(self, step: LayerStep, raw: IntArray,
-              alloc: Allocator) -> IntArray:
+    def _pool(self, step: LayerStep, raw: IntArray) -> IntArray:
         spec = step.spec
         in_fmt, out_fmt = step.in_fmts[0], step.out_fmt
         source = raw if raw.dtype == np.int64 else raw.astype(np.int64)
@@ -812,8 +583,7 @@ class ExecutionPlan:
                 # strided views of the input instead of materializing
                 # the windows tensor: the max over identical window
                 # members is unchanged.
-                out = cast(IntArray, alloc.take(
-                    (count, channels, out_h, out_w), np.int64))
+                out = np.empty((count, channels, out_h, out_w), np.int64)
                 span_h = stride * (out_h - 1) + 1
                 span_w = stride * (out_w - 1) + 1
                 for di in range(kernel):
@@ -832,9 +602,8 @@ class ExecutionPlan:
             windows, _, _ = F.pool_windows_batch(
                 source, spec.kernel_size, spec.stride, spec.pad, pad_values)
             pooled = windows.max(axis=(4, 5))
-            out = cast(IntArray, alloc.take(pooled.shape, np.int64))
             return cast(IntArray,
-                        requantize(pooled, in_fmt, out_fmt, out=out))
+                        requantize(pooled, in_fmt, out_fmt, out=pooled))
         windows, _, _ = F.pool_windows_batch(
             source, spec.kernel_size, spec.stride, spec.pad, 0)
         sums = windows.sum(axis=(4, 5))
@@ -847,12 +616,10 @@ class ExecutionPlan:
         else:
             reciprocal = int(round((1 << 15) / area))
             averaged = (sums * reciprocal + (1 << 14)) >> np.int64(15)
-        out = cast(IntArray, alloc.take(averaged.shape, np.int64))
         return cast(IntArray,
-                    requantize(averaged, in_fmt, out_fmt, out=out))
+                    requantize(averaged, in_fmt, out_fmt, out=averaged))
 
-    def _lrn(self, step: LayerStep, raw: IntArray,
-             alloc: Allocator) -> IntArray:
+    def _lrn(self, step: LayerStep, raw: IntArray) -> IntArray:
         spec = step.spec
         assert step.lut is not None
         values = dequantize(raw, step.in_fmts[0])
@@ -865,19 +632,16 @@ class ExecutionPlan:
             scale_arg[:, c] = (spec.alpha / spec.local_size) \
                 * squared[:, lo:hi].sum(axis=1)
         scale = step.lut.evaluate(scale_arg)
-        out = cast(IntArray, alloc.take(raw.shape, np.int64))
-        return cast(IntArray,
-                    quantize_to_ints(values * scale, step.out_fmt, out=out))
+        return cast(IntArray, quantize_to_ints(values * scale, step.out_fmt))
 
-    def _concat(self, step: LayerStep, raw_inputs: list[AnyArray],
-                alloc: Allocator) -> IntArray:
+    def _concat(self, step: LayerStep,
+                raw_inputs: list[AnyArray]) -> IntArray:
         out_fmt = step.out_fmt
         count = raw_inputs[0].shape[0]
         if all(a.ndim == 4 for a in raw_inputs):
             widths = [a.shape[1] for a in raw_inputs]
             height, width = raw_inputs[0].shape[2], raw_inputs[0].shape[3]
-            out = cast(IntArray, alloc.take(
-                (count, sum(widths), height, width), np.int64))
+            out = np.empty((count, sum(widths), height, width), np.int64)
             offset = 0
             for raw, fmt, channels in zip(raw_inputs, step.in_fmts, widths):
                 requantize(raw, fmt, out_fmt,
@@ -885,8 +649,7 @@ class ExecutionPlan:
                 offset += channels
             return out
         flats = [a.reshape(count, -1) for a in raw_inputs]
-        out = cast(IntArray, alloc.take(
-            (count, sum(f.shape[1] for f in flats)), np.int64))
+        out = np.empty((count, sum(f.shape[1] for f in flats)), np.int64)
         offset = 0
         for flat, fmt in zip(flats, step.in_fmts):
             size = flat.shape[1]
@@ -894,18 +657,17 @@ class ExecutionPlan:
             offset += size
         return out
 
-    def _eltwise(self, step: LayerStep, raw_inputs: list[AnyArray],
-                 alloc: Allocator) -> IntArray:
+    def _eltwise(self, step: LayerStep,
+                 raw_inputs: list[AnyArray]) -> IntArray:
         # Bit-exact mirror of the per-sample rule in repro.sim.quantized:
         # requantize every branch to the output format, then saturating
         # integer sum.
         out_fmt = step.out_fmt
-        out = cast(IntArray, alloc.take(raw_inputs[0].shape, np.int64))
+        out = np.empty(raw_inputs[0].shape, np.int64)
         requantize(raw_inputs[0], step.in_fmts[0], out_fmt, out=out)
-        scratch = cast(IntArray, alloc.take(raw_inputs[0].shape, np.int64))
+        scratch = np.empty_like(out)
         for raw, fmt in zip(raw_inputs[1:], step.in_fmts[1:]):
             requantize(raw, fmt, out_fmt, out=scratch)
             np.add(out, scratch, out=out)
             np.clip(out, out_fmt.min_int, out_fmt.max_int, out=out)
-        alloc.release(scratch)
         return out

@@ -185,7 +185,7 @@ class QuantizedExecutor:
 
     def output(self, inputs: np.ndarray) -> np.ndarray:
         blobs = self.forward(inputs)
-        return blobs[self.graph.outputs()[-1].tops[0]]
+        return blobs[self.resolved.output]
 
     # ------------------------------------------------------------------
 
@@ -220,8 +220,8 @@ class QuantizedExecutor:
         ``(N, ...)`` array.  Returns raw integer blobs with a leading
         batch axis, integer-exact against ``N`` independent
         :meth:`forward_raw` calls.  ``keep="output"`` returns only the
-        network output blob, which lets the plan serve every
-        intermediate from its buffer arena (the serving hot path).
+        network output blob, which lets the plan drop every
+        intermediate after its last reader (the serving hot path).
         Recurrent state entries written by this path carry the batch
         dimension; call :meth:`reset_state` between batches (the
         simulator does) so every request starts from clean state.
@@ -243,7 +243,7 @@ class QuantizedExecutor:
                 blob: dequantize(values, self.blob_formats[blob])
                 for blob, values in raw.items()
             }
-        output_blob = self.graph.outputs()[-1].tops[0]
+        output_blob = self.resolved.output
         return {
             output_blob: dequantize(raw[output_blob],
                                     self.blob_formats[output_blob])

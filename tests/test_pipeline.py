@@ -372,12 +372,22 @@ class TestTransparency:
         if first == "relu1":
             assert not np.array_equal(references[0], references[1])
 
-    def test_shared_plan_outputs_match_private_plan(self, mnist):
+    def test_shared_plan_outputs_match_private_plan(self, mnist,
+                                                    monkeypatch):
         model = CompiledModel.build(mnist, fraction=0.2,
                                     pipeline=BuildPipeline())
+        flushed: list = []
+        forward = ExecutionPlan.forward_batch_raw
+
+        def logged(plan, *args, **kwargs):
+            flushed.append(plan)
+            return forward(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "forward_batch_raw", logged)
         inputs = model.artifacts.random_input()
         (shared,) = model.new_session().run_batch([inputs])
-        assert model.execution_plan.arena.takes > 0  # the shared plan ran
+        # The session's one flush ran on the model's shared plan.
+        assert len(flushed) == 1 and flushed[0] is model.execution_plan
         (private,) = api.simulator(model.artifacts).run_batch([inputs])
         per_sample = api.simulator(model.artifacts).run(inputs)
         np.testing.assert_array_equal(shared.output, private.output)

@@ -1,19 +1,24 @@
-"""The execution plan: fusion, serial node order, buffer arena.
+"""The execution plan: fusion, serial node order, liveness.
 
-The plan's contract is bit-exactness: its batched kernels — fused,
-arena-allocated and run node after node on the serving path — must
-produce integer-identical blobs to the independent per-sample
-``forward_raw`` path across every zoo benchmark, including the
-recurrent (hopfield) and branchy (concat/eltwise) topologies.  These
-tests pin that contract, the ownership of the blobs an inspection flush
-returns, the buffer-arena recycling behaviour and the serving gauges.
+The plan's contract is bit-exactness: its batched kernels — fused, run
+node after node and, on the serving path, with every intermediate
+dropped after its last reader — must produce integer-identical blobs
+to the independent per-sample ``forward_raw`` path across every zoo
+benchmark, including the recurrent (hopfield) and branchy
+(concat/eltwise) topologies.  These tests pin that contract, the
+ownership of the blobs an inspection flush returns, concurrent flushes
+sharing one plan and the serving gauges.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import api
-from repro.sim.plan import BufferArena, ExecutionPlan
+from repro.sim.plan import ExecutionPlan
 from repro.sim.quantized import QuantizedExecutor
 from repro.zoo import BENCHMARKS, benchmark_graph
 
@@ -39,7 +44,7 @@ def _executor(name: str) -> QuantizedExecutor:
 
 
 def _plan(executor: QuantizedExecutor) -> ExecutionPlan:
-    """A fresh plan (own arena and counters) over the executor's net."""
+    """A fresh plan over the executor's net."""
     return ExecutionPlan.build(
         executor.resolved,
         executor.quantized_weights,
@@ -101,8 +106,6 @@ class TestBatchedBitExact:
         np.testing.assert_array_equal(
             np.stack([blobs[output_blob] for blobs, _ in singles]),
             output_only[output_blob])
-        # Every arena buffer went back after its last reader node.
-        assert plan.arena.snapshot()["in_use_bytes"] == 0
         # Recurrent state (hopfield) evolves per sample, row by row.
         for index, (_, state) in enumerate(singles):
             assert set(state) == set(all_state) == set(out_state)
@@ -118,9 +121,7 @@ class TestInspectionOwnsMemory:
     def test_keep_all_blobs_are_private(self, name):
         plan = _plan(_executor(name))
         stacked, _ = _references(name)
-        takes = plan.arena.takes
         blobs = plan.forward_batch_raw(stacked[:3], {}, keep="all")
-        assert plan.arena.takes == takes
         items = sorted(blobs.items())
         for index, (first, a) in enumerate(items):
             for second, b in items[index + 1:]:
@@ -128,7 +129,6 @@ class TestInspectionOwnsMemory:
                     f"{name}: {first} and {second} share memory"
         kept = {blob: values.copy() for blob, values in blobs.items()}
         plan.forward_batch_raw(stacked[3:6], {}, keep="output")
-        assert plan.arena.takes > takes
         for blob, values in kept.items():
             np.testing.assert_array_equal(values, blobs[blob],
                                           err_msg=f"{name}:{blob}")
@@ -139,53 +139,48 @@ class TestPlanStats:
         stats = _plan(_executor("mnist")).stats()
         assert 0 < stats["fused_steps"] < stats["total_steps"]
 
-    def test_arena_peak_populates_after_flush(self):
-        executor = _executor("mnist")
-        plan = _plan(executor)
-        stacked = executor.stack_batch(_random_batch(executor, 4, seed=3))
-        plan.forward_batch_raw(stacked, {}, keep="output")
-        stats = plan.stats()
-        assert stats["peak_arena_bytes"] > 0
-        assert stats["arena_pool_bytes"] >= stats["peak_arena_bytes"]
 
+class TestConcurrentFlushes:
+    """A plan holds no per-flush state, so threads may share one."""
 
-class TestBufferArena:
-    def test_release_then_take_reuses_block(self):
-        arena = BufferArena()
-        first = arena.take((64, 64), np.int64)
-        base = first.base
-        while base.base is not None:
-            base = base.base
-        arena.release(first)
-        second = arena.take((64, 64), np.int64)
-        again = second.base
-        while again.base is not None:
-            again = again.base
-        assert again is base
-        assert arena.snapshot()["misses"] == 1
-        assert arena.snapshot()["takes"] == 2
+    THREADS = 4
+    ROUNDS = 3
 
-    def test_size_classes_are_powers_of_two(self):
-        arena = BufferArena()
-        arena.take((3,), np.int64)  # 24 B -> 512 B minimum class
-        assert arena.pool_bytes == 512
-        arena.take((100,), np.int64)  # 800 B -> 1024 B class
-        assert arena.pool_bytes == 512 + 1024
+    @pytest.mark.parametrize("name", ["squeezenet_tiny", "resnet_tiny"])
+    def test_threads_sharing_a_plan_match_serial(self, name):
+        plan = _plan(_executor(name))
+        stacked, _ = _references(name)
+        batches = (stacked[:3], stacked[3:11])
+        keeps = ("output", "all")
 
-    def test_peak_tracks_concurrent_use(self):
-        arena = BufferArena()
-        a = arena.take((512,), np.int64)
-        b = arena.take((512,), np.int64)
-        peak = arena.peak_bytes
-        arena.release(a)
-        arena.release(b)
-        arena.take((512,), np.int64)
-        assert arena.peak_bytes == peak
+        def flushes() -> list:
+            return [plan.forward_batch_raw(batch, {}, keep=keep)
+                    for batch in batches for keep in keeps]
 
-    def test_release_of_foreign_array_is_noop(self):
-        arena = BufferArena()
-        arena.release(np.zeros(16, dtype=np.int64))
-        assert arena.snapshot()["in_use_bytes"] == 0
+        serial = flushes()
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+
+        def worker() -> list:
+            barrier.wait()  # start every thread's flushes together
+            return [blobs for _ in range(self.ROUNDS) for blobs in flushes()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often mid-flush
+        try:
+            with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
+                futures = [pool.submit(worker) for _ in range(self.THREADS)]
+                runs = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for thread, results in enumerate(runs):
+            for index, blobs in enumerate(results):
+                expected = serial[index % len(serial)]
+                assert blobs.keys() == expected.keys()
+                for blob, values in expected.items():
+                    np.testing.assert_array_equal(
+                        blobs[blob], values,
+                        err_msg=f"{name}:{blob} thread {thread} "
+                                f"flush {index}")
 
 
 class TestExecutorForwardBatch:
@@ -215,4 +210,3 @@ class TestServingIntegration:
                 assert request.result().ok
         assert server.metrics.gauge("plan_total_steps").value > 0
         assert server.metrics.gauge("plan_fused_steps").value > 0
-        assert server.metrics.gauge("plan_peak_arena_bytes").value > 0
