@@ -13,7 +13,9 @@ the same FSM representation the hardware generator consumes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.compiler.memmap import MemoryMap
 from repro.compiler.patterns import AccessPattern, infer_patterns
@@ -22,37 +24,131 @@ from repro.frontend.layers import LayerKind, LayerSpec
 from repro.nngen.design import AcceleratorDesign, FoldPhase
 
 
+class PatternTables:
+    """The three coordinator pattern tables: the one pattern store.
+
+    :class:`AddressFlowGenerator` appends every fold's flows here, fold
+    by fold; each :class:`PhaseAddressPlan` and each coordinator state
+    records integer index ranges into these lists, so a compiled
+    program holds each :class:`AccessPattern` once.
+    """
+
+    __slots__ = ("main", "data", "weight")
+
+    def __init__(self) -> None:
+        #: Main AGU (DRAM <-> buffers): per fold, feature reads, weight
+        #: reads, then writes.
+        self.main: list[AccessPattern] = []
+        #: Data AGU (feature buffer -> datapath).
+        self.data: list[AccessPattern] = []
+        #: Weight AGU (weight buffer -> datapath).
+        self.weight: list[AccessPattern] = []
+
+
+class TableSlice(Sequence[AccessPattern]):
+    """A read-only view of ``table[ids.start:ids.stop]`` that copies
+    nothing; it reads the table on every access."""
+
+    __slots__ = ("_table", "_ids")
+
+    def __init__(self, table: list[AccessPattern], ids: range) -> None:
+        self._table = table
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TableSlice(self._table, self._ids[index])
+        return self._table[self._ids[index]]
+
+    def __iter__(self) -> Iterator[AccessPattern]:
+        return map(self._table.__getitem__, self._ids)
+
+
 @dataclass
 class PhaseAddressPlan:
-    """Compiled address flows of one fold phase."""
+    """Compiled address flows of one fold phase, as index ranges into
+    the program's :class:`PatternTables`.
+
+    ``main`` covers the fold's main-AGU rows (feature reads, weight
+    reads, writes, split at ``weight_reads_at`` and ``writes_at``);
+    ``data`` and ``weight`` cover its buffer replays.  The flow
+    attributes are read-only views over those rows.  The word counts
+    are the traffic the compiler declared for the fold when it
+    generated the flows; the checkers compare the tables against them.
+    """
 
     phase: FoldPhase
     event: str
-    main_feature_reads: list[AccessPattern] = field(default_factory=list)
-    main_weight_reads: list[AccessPattern] = field(default_factory=list)
-    main_writes: list[AccessPattern] = field(default_factory=list)
-    data_reads: list[AccessPattern] = field(default_factory=list)
-    weight_reads: list[AccessPattern] = field(default_factory=list)
+    tables: PatternTables = field(repr=False, compare=False)
+    main: range
+    weight_reads_at: int
+    writes_at: int
+    data: range
+    weight: range
+    read_words: int
+    write_words: int
+    replay_words: int
+
+    @property
+    def main_feature_reads(self) -> TableSlice:
+        return TableSlice(self.tables.main,
+                          range(self.main.start, self.weight_reads_at))
+
+    @property
+    def main_weight_reads(self) -> TableSlice:
+        return TableSlice(self.tables.main,
+                          range(self.weight_reads_at, self.writes_at))
+
+    @property
+    def main_writes(self) -> TableSlice:
+        return TableSlice(self.tables.main,
+                          range(self.writes_at, self.main.stop))
+
+    @property
+    def data_reads(self) -> TableSlice:
+        return TableSlice(self.tables.data, self.data)
+
+    @property
+    def weight_reads(self) -> TableSlice:
+        return TableSlice(self.tables.weight, self.weight)
 
     def dram_read_words(self) -> int:
-        return (sum(p.footprint for p in self.main_feature_reads)
-                + sum(p.footprint for p in self.main_weight_reads))
+        return self.read_words
 
     def dram_write_words(self) -> int:
-        return sum(p.footprint for p in self.main_writes)
+        return self.write_words
 
     def buffer_read_words(self) -> int:
-        return (sum(p.footprint for p in self.data_reads)
-                + sum(p.footprint for p in self.weight_reads))
-
-    def all_patterns(self) -> list[AccessPattern]:
-        return (self.main_feature_reads + self.main_weight_reads
-                + self.main_writes + self.data_reads + self.weight_reads)
+        return self.replay_words
 
 
 def phase_event(phase: FoldPhase, layer_index: int) -> str:
     """The pre-defined trigger event name, e.g. ``layer0-fold0``."""
     return f"layer{layer_index}-fold{phase.phase_index}"
+
+
+def _words(patterns: list[AccessPattern]) -> int:
+    return sum(map(_footprint, patterns))
+
+
+_footprint = attrgetter("footprint")
+
+
+class _FoldFlows:
+    """One fold's five flows while the generator builds them."""
+
+    __slots__ = ("main_feature_reads", "main_weight_reads", "main_writes",
+                 "data_reads", "weight_reads")
+
+    def __init__(self) -> None:
+        self.main_feature_reads: list[AccessPattern] = []
+        self.main_weight_reads: list[AccessPattern] = []
+        self.main_writes: list[AccessPattern] = []
+        self.data_reads: list[AccessPattern] = []
+        self.weight_reads: list[AccessPattern] = []
 
 
 class AddressFlowGenerator:
@@ -65,32 +161,59 @@ class AddressFlowGenerator:
         self.shapes = design.resolved.shapes
 
     def plans(self) -> list[PhaseAddressPlan]:
-        return [self._plan_phase(phase) for phase in self.design.folding]
+        """One plan per fold, in fold order, over one fresh
+        :class:`PatternTables` (every plan's ``tables``)."""
+        tables = PatternTables()
+        return [self._plan_phase(phase, tables)
+                for phase in self.design.folding]
 
     # ------------------------------------------------------------------
 
-    def _plan_phase(self, phase: FoldPhase) -> PhaseAddressPlan:
+    def _plan_phase(self, phase: FoldPhase,
+                    tables: PatternTables) -> PhaseAddressPlan:
         spec = self.resolved.layer(phase.layer)
         event = phase_event(phase, self.resolved.ids[spec.name])
-        plan = PhaseAddressPlan(phase=phase, event=event)
+        flows = _FoldFlows()
         if spec.kind.is_convolution:
-            self._conv_flows(spec, phase, plan)
+            self._conv_flows(spec, phase, event, flows)
         elif spec.kind in (LayerKind.INNER_PRODUCT, LayerKind.RECURRENT,
                            LayerKind.ASSOCIATIVE):
-            self._dense_flows(spec, phase, plan)
+            self._dense_flows(spec, phase, event, flows)
         else:
-            self._streaming_flows(spec, phase, plan)
-        return plan
+            self._streaming_flows(spec, phase, event, flows)
+        main, data, weight = tables.main, tables.data, tables.weight
+        main_start, data_start, weight_start = len(main), len(data), len(weight)
+        main += flows.main_feature_reads
+        weight_reads_at = len(main)
+        main += flows.main_weight_reads
+        writes_at = len(main)
+        main += flows.main_writes
+        data += flows.data_reads
+        weight += flows.weight_reads
+        return PhaseAddressPlan(
+            phase=phase,
+            event=event,
+            tables=tables,
+            main=range(main_start, len(main)),
+            weight_reads_at=weight_reads_at,
+            writes_at=writes_at,
+            data=range(data_start, len(data)),
+            weight=range(weight_start, len(weight)),
+            read_words=(_words(flows.main_feature_reads)
+                        + _words(flows.main_weight_reads)),
+            write_words=_words(flows.main_writes),
+            replay_words=(_words(flows.data_reads)
+                          + _words(flows.weight_reads)),
+        )
 
     # -- dense layers ---------------------------------------------------
 
-    def _dense_flows(self, spec: LayerSpec, phase: FoldPhase,
-                     plan: PhaseAddressPlan) -> None:
+    def _dense_flows(self, spec: LayerSpec, phase: FoldPhase, event: str,
+                     flows: _FoldFlows) -> None:
         blob_in = spec.bottoms[0]
         blob_out = spec.tops[0]
         in_base = self.memory_map.feature_base(blob_in)
         weights = self.memory_map.weights(spec.name)
-        event = plan.event
 
         depth = phase.in_count
         outputs = phase.out_count
@@ -101,12 +224,12 @@ class AddressFlowGenerator:
         # is already on chip, so only the real-input part is fetched.
         fetch_depth = min(depth, max(0, in_size - phase.in_start))
         if fetch_depth > 0:
-            plan.main_feature_reads.append(AccessPattern(
+            flows.main_feature_reads.append(AccessPattern(
                 start_address=in_base + phase.in_start,
                 x_length=fetch_depth, event=event,
             ))
         # Weight fetch: a (outputs x depth) block, one row per output.
-        plan.main_weight_reads.append(AccessPattern(
+        flows.main_weight_reads.append(AccessPattern(
             start_address=weights.block_address(phase.out_start, phase.in_start),
             x_length=depth,
             y_length=outputs,
@@ -116,27 +239,27 @@ class AddressFlowGenerator:
         # Writeback of completed outputs (partial sums stay on chip).
         if not phase.partial:
             out_base = self.memory_map.feature_base(blob_out)
-            plan.main_writes.append(AccessPattern(
+            flows.main_writes.append(AccessPattern(
                 start_address=out_base + phase.out_start,
                 x_length=outputs, event=event,
             ))
         # Data AGU: replay the input slice once per lane wave.
         lanes = self.design.datapath.lanes
         waves = -(-outputs // lanes)
-        plan.data_reads.append(AccessPattern(
+        flows.data_reads.append(AccessPattern(
             start_address=0, x_length=depth, y_length=waves, offset=0,
             event=event,
         ))
         # Weight AGU: stream the block in consumption order.
-        plan.weight_reads.append(AccessPattern(
+        flows.weight_reads.append(AccessPattern(
             start_address=0, x_length=depth, y_length=outputs, offset=depth,
             event=event,
         ))
 
     # -- convolution layers ----------------------------------------------
 
-    def _conv_flows(self, spec: LayerSpec, phase: FoldPhase,
-                    plan: PhaseAddressPlan) -> None:
+    def _conv_flows(self, spec: LayerSpec, phase: FoldPhase, event: str,
+                    flows: _FoldFlows) -> None:
         blob_in = spec.bottoms[0]
         blob_out = spec.tops[0]
         in_layout = self.memory_map.feature_layout(blob_in)
@@ -144,7 +267,6 @@ class AddressFlowGenerator:
         out_layout = self.memory_map.feature_layout(blob_out)
         out_base = self.memory_map.feature_base(blob_out)
         weights = self.memory_map.weights(spec.name)
-        event = plan.event
         out_shape = self.shapes[blob_out]
         k = spec.kernel_size
         out_w = out_shape.width
@@ -160,7 +282,7 @@ class AddressFlowGenerator:
         in_row_start = phase.row_start * spec.stride
         tile_row = in_row_start // in_layout.side
         band_start = tile_row * in_layout.tiles_x * in_layout.tile_elements
-        plan.main_feature_reads.append(AccessPattern(
+        flows.main_feature_reads.append(AccessPattern(
             start_address=in_base + phase.in_ch_start * map_pitch + band_start,
             x_length=max(1, per_map_band),
             y_length=max(1, depth),
@@ -171,7 +293,7 @@ class AddressFlowGenerator:
         # Weight fetch: one row per output channel in the chunk; each
         # row's input-channel slice is contiguous (channel-major storage).
         slice_depth = depth * k * k
-        plan.main_weight_reads.append(AccessPattern(
+        flows.main_weight_reads.append(AccessPattern(
             start_address=weights.block_address(
                 phase.out_ch_start, phase.in_ch_start * k * k),
             x_length=slice_depth,
@@ -187,7 +309,7 @@ class AddressFlowGenerator:
             out_band_start = (out_tile_row * out_layout.tiles_x
                               * out_layout.tile_elements)
             per_channel_out = phase.output_words // max(1, channels)
-            plan.main_writes.append(AccessPattern(
+            flows.main_writes.append(AccessPattern(
                 start_address=out_base + phase.out_ch_start * out_map_pitch
                 + out_band_start,
                 x_length=max(1, per_channel_out),
@@ -207,7 +329,7 @@ class AddressFlowGenerator:
             window_words = k * k
             position_step = spec.stride
         positions = band_rows * out_w
-        plan.data_reads.append(AccessPattern(
+        flows.data_reads.append(AccessPattern(
             start_address=0,
             x_length=window_words * max(1, depth),
             y_length=max(1, positions),
@@ -216,7 +338,7 @@ class AddressFlowGenerator:
         ))
         # Weight AGU: the kernel slice of each output channel streams once
         # per position wave (lanes cover the channel chunk in parallel).
-        plan.weight_reads.append(AccessPattern(
+        flows.weight_reads.append(AccessPattern(
             start_address=0,
             x_length=slice_depth,
             y_length=max(1, min(channels, self.design.datapath.lanes)),
@@ -227,33 +349,32 @@ class AddressFlowGenerator:
     # -- streaming layers -------------------------------------------------
 
     def _streaming_flows(self, spec: LayerSpec, phase: FoldPhase,
-                         plan: PhaseAddressPlan) -> None:
-        event = plan.event
+                         event: str, flows: _FoldFlows) -> None:
         if spec.kind is LayerKind.ELTWISE:
             # Every residual branch streams through in full; the fold's
             # input_words is the sum over all bottoms.
             for blob in spec.bottoms:
                 words = self.shapes[blob].size
-                plan.main_feature_reads.append(AccessPattern(
+                flows.main_feature_reads.append(AccessPattern(
                     start_address=self.memory_map.feature_base(blob),
                     x_length=words, event=event,
                 ))
-                plan.data_reads.append(AccessPattern(
+                flows.data_reads.append(AccessPattern(
                     start_address=0, x_length=words, event=event,
                 ))
         elif spec.bottoms:
             in_base = self.memory_map.feature_base(spec.bottoms[0])
             if phase.input_words:
-                plan.main_feature_reads.append(AccessPattern(
+                flows.main_feature_reads.append(AccessPattern(
                     start_address=in_base + phase.in_start,
                     x_length=phase.input_words, event=event,
                 ))
-                plan.data_reads.append(AccessPattern(
+                flows.data_reads.append(AccessPattern(
                     start_address=0, x_length=phase.input_words, event=event,
                 ))
         if spec.tops and phase.output_words:
             out_base = self.memory_map.feature_base(spec.tops[0])
-            plan.main_writes.append(AccessPattern(
+            flows.main_writes.append(AccessPattern(
                 start_address=out_base + phase.out_start,
                 x_length=phase.output_words, event=event,
             ))

@@ -10,8 +10,10 @@ buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.compiler.address import PatternTables, PhaseAddressPlan
+from repro.compiler.patterns import AccessPattern
 from repro.errors import CompileError
 from repro.frontend.layers import LayerKind
 from repro.nngen.design import AcceleratorDesign, FoldPhase
@@ -48,10 +50,11 @@ class ControlState:
     event: str
     #: Ordered producer→consumer chain of functional block instances.
     route: tuple[str, ...]
-    #: AGU pattern table indices selected in this state.
-    main_patterns: tuple[int, ...]
-    data_patterns: tuple[int, ...]
-    weight_patterns: tuple[int, ...]
+    #: AGU pattern table indices selected in this state: its address
+    #: plan's ranges over the shared tables.
+    main_patterns: range
+    data_patterns: range
+    weight_patterns: range
     #: Whether the accumulators must hold (partial fold) or flush.
     accumulate_hold: bool = False
 
@@ -60,21 +63,25 @@ class ControlState:
 class CoordinatorProgram:
     """The complete FSM program plus the shared pattern tables."""
 
-    states: list[ControlState] = field(default_factory=list)
-    #: Flattened AGU pattern tables; ControlState indices point here.
-    main_table: list = field(default_factory=list)
-    data_table: list = field(default_factory=list)
-    weight_table: list = field(default_factory=list)
+    states: list[ControlState]
+    #: The AGU pattern tables the states and the address plans index.
+    tables: PatternTables
+
+    @property
+    def main_table(self) -> list[AccessPattern]:
+        return self.tables.main
+
+    @property
+    def data_table(self) -> list[AccessPattern]:
+        return self.tables.data
+
+    @property
+    def weight_table(self) -> list[AccessPattern]:
+        return self.tables.weight
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def state_for_phase(self, layer: str, phase_index: int) -> ControlState:
-        for state in self.states:
-            if state.layer == layer and state.phase_index == phase_index:
-                return state
-        raise CompileError(f"no control state for {layer}#{phase_index}")
 
     def events(self) -> list[str]:
         return [state.event for state in self.states]
@@ -94,35 +101,33 @@ def route_for_phase(design: AcceleratorDesign, phase: FoldPhase) -> tuple[str, .
     return present
 
 
-def build_coordinator_program(design: AcceleratorDesign, plans) -> CoordinatorProgram:
-    """Assemble the FSM program from the per-phase address plans."""
-    program = CoordinatorProgram()
+def build_coordinator_program(
+        design: AcceleratorDesign,
+        plans: list[PhaseAddressPlan]) -> CoordinatorProgram:
+    """Assemble the FSM program from the per-phase address plans.
+
+    The plans come from one :meth:`AddressFlowGenerator.plans` call, so
+    they share one :class:`PatternTables`; each state selects its plan's
+    index ranges in it.
+    """
+    if not plans:
+        raise CompileError("network produced no control states")
+    routes: dict[LayerKind, tuple[str, ...]] = {}
+    states = []
     for index, plan in enumerate(plans):
         phase = plan.phase
-        main_ids = []
-        for pattern in (plan.main_feature_reads + plan.main_weight_reads
-                        + plan.main_writes):
-            main_ids.append(len(program.main_table))
-            program.main_table.append(pattern)
-        data_ids = []
-        for pattern in plan.data_reads:
-            data_ids.append(len(program.data_table))
-            program.data_table.append(pattern)
-        weight_ids = []
-        for pattern in plan.weight_reads:
-            weight_ids.append(len(program.weight_table))
-            program.weight_table.append(pattern)
-        program.states.append(ControlState(
+        route = routes.get(phase.kind)
+        if route is None:
+            route = routes[phase.kind] = route_for_phase(design, phase)
+        states.append(ControlState(
             index=index,
             layer=phase.layer,
             phase_index=phase.phase_index,
             event=plan.event,
-            route=route_for_phase(design, phase),
-            main_patterns=tuple(main_ids),
-            data_patterns=tuple(data_ids),
-            weight_patterns=tuple(weight_ids),
+            route=route,
+            main_patterns=plan.main,
+            data_patterns=plan.data,
+            weight_patterns=plan.weight,
             accumulate_hold=phase.partial,
         ))
-    if not program.states:
-        raise CompileError("network produced no control states")
-    return program
+    return CoordinatorProgram(states=states, tables=plans[0].tables)

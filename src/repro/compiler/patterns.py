@@ -66,15 +66,24 @@ class AccessPattern:
                        tail + (self.x_length - 1) * self.stride)
         return last
 
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        """The sweep without its start: ``(x_length, stride, y_length,
+        offset)``.  Folds of one layer share a shape; the AGU reduction
+        and the program check key on it."""
+        return (self.x_length, self.stride, self.y_length, self.offset)
+
     def fields_used(self) -> tuple[str, ...]:
         """Template fields this pattern actually exercises.
 
         The hardware generator reduces the template AGU to these fields.
+        They depend on the :attr:`shape` alone.
         """
+        x_length, stride, y_length, _ = self.shape
         fields = ["start_address", "footprint", "x_length"]
-        if self.x_length > 1 and self.stride != 1:
+        if x_length > 1 and stride != 1:
             fields.append("stride")
-        if self.y_length > 1:
+        if y_length > 1:
             fields.append("y_length")
             fields.append("offset")
         return tuple(fields)
@@ -95,10 +104,7 @@ class AccessPattern:
         )
 
     def same_shape(self, other: "AccessPattern") -> bool:
-        return (self.x_length == other.x_length
-                and self.stride == other.stride
-                and self.y_length == other.y_length
-                and self.offset == other.offset)
+        return self.shape == other.shape
 
 
 def _runs_of_constant_stride(stream: Sequence[int]) -> tuple[int, int]:

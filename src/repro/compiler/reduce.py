@@ -11,14 +11,20 @@ design will never use.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 from repro.compiler.patterns import AccessPattern
 from repro.components.agu import AGURole, AddressGenerationUnit, TEMPLATE_FIELDS
 from repro.errors import CompileError
 from repro.nngen.design import AcceleratorDesign
 
 
-def fields_for_patterns(patterns: list[AccessPattern]) -> tuple[str, ...]:
-    """Union of template fields the given patterns exercise."""
+def fields_for_patterns(patterns: Iterable[AccessPattern]) -> tuple[str, ...]:
+    """Union of template fields the given patterns exercise.
+
+    A pattern's fields depend only on its :attr:`~AccessPattern.shape`,
+    so one pattern per distinct shape gives the same union.
+    """
     used: set[str] = set()
     for pattern in patterns:
         used.update(pattern.fields_used())
@@ -26,13 +32,13 @@ def fields_for_patterns(patterns: list[AccessPattern]) -> tuple[str, ...]:
     return tuple(f for f in TEMPLATE_FIELDS if f in used) or ("start_address",)
 
 
-def pattern_rom(table: list[AccessPattern]) -> list[AccessPattern]:
+def pattern_rom(table: Sequence[AccessPattern]) -> Sequence[AccessPattern]:
     """The rows an AGU's pattern ROM holds: one per coordinator-table
     entry, in table order, so ``pattern_select`` is the table index the
     coordinator states record.  An AGU with nothing to do holds one idle
     row.  The ``agu_<role>_<field>.mem`` images carry exactly these rows.
     """
-    return list(table) or [AccessPattern(start_address=0, x_length=1)]
+    return table or [AccessPattern(start_address=0, x_length=1)]
 
 
 def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, AddressGenerationUnit]:
@@ -57,18 +63,16 @@ def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, Add
         table = pattern_rom(table)
         # Folds of one layer share a pattern shape, re-based per fold;
         # the cost model prices the table by its distinct shapes, while
-        # the ROM holds every row (``rows``).
-        distinct_shapes: list[AccessPattern] = []
-        for pattern in table:
-            if not any(pattern.same_shape(seen) for seen in distinct_shapes):
-                distinct_shapes.append(pattern)
+        # the ROM holds every row (``rows``).  One pass keyed by the
+        # hashed shape keeps this linear in the table length.
+        distinct = {pattern.shape: pattern for pattern in table}
         agu = AddressGenerationUnit(
             instance,
             role=role,
-            n_patterns=len(distinct_shapes),
+            n_patterns=len(distinct),
             address_width=original.address_width,
             burst_words=original.burst_words,
-            fields=fields_for_patterns(table),
+            fields=fields_for_patterns(distinct.values()),
             rows=len(table),
         )
         design.components[instance] = agu

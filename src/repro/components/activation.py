@@ -10,8 +10,6 @@ the hardware.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.components.base import Component, PortDirection, PortSpec, \
     _require_positive, dsp_for_multiplier
 from repro.devices.cost import ResourceCost
@@ -145,8 +143,3 @@ class ActivationUnit(Component):
             return -(-values // self.lanes)
         # LUT-based functions serialise through the shared table.
         return values
-
-
-def relu_fixed(raw: np.ndarray) -> np.ndarray:
-    """Bit-exact ReLU on raw fixed-point integers."""
-    return np.maximum(np.asarray(raw, dtype=np.int64), 0)

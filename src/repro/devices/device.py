@@ -8,7 +8,7 @@ static power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.devices.cost import ResourceCost
 from repro.errors import ResourceError
@@ -114,9 +114,6 @@ class ResourceBudget:
             raise ResourceError(
                 f"budget {self.limit} is too small for any datapath"
             )
-
-    def with_limit(self, limit: ResourceCost) -> "ResourceBudget":
-        return replace(self, limit=limit)
 
     def utilization(self, used: ResourceCost) -> dict[str, float]:
         """Fraction of each budgeted resource that ``used`` occupies."""

@@ -38,10 +38,6 @@ class CacheStats:
     def total(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.total if self.total else 0.0
-
 
 class DesignCache:
     """One directory of cached point evaluations."""

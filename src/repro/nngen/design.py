@@ -165,13 +165,6 @@ class AcceleratorDesign:
             [comp.resource_cost() for comp in self.components.values()]
         )
 
-    def check_budget(self) -> None:
-        used = self.resource_report()
-        if not used.fits_in(self.budget.limit):
-            raise ResourceError(
-                f"design uses {used}, budget is {self.budget.limit}"
-            )
-
     @property
     def clock_hz(self) -> float:
         return self.budget.device.clock_hz

@@ -173,12 +173,13 @@ def pipeline_timing(
 
 
 def plan_traffic(plan: PhaseAddressPlan) -> PhaseTraffic:
-    """The traffic a compiled phase's address patterns move."""
+    """The traffic a compiled phase's address patterns move: one burst
+    per main-AGU pattern.  It reads the plan's recorded word counts and
+    row range, so it builds nothing but the result."""
     return PhaseTraffic(
         dram_read_words=plan.dram_read_words(),
         dram_write_words=plan.dram_write_words(),
-        bursts=len(plan.main_feature_reads) + len(plan.main_weight_reads)
-        + len(plan.main_writes),
+        bursts=len(plan.main),
         sram_read_words=plan.buffer_read_words(),
     )
 

@@ -240,7 +240,9 @@ class TestBrokenDesigns:
         program = artifacts.program
         total = program.memory_map.total_elements
         plan = next(p for p in program.address_plans if p.main_feature_reads)
-        plan.main_feature_reads[0] = dataclasses.replace(
+        # Plans are read-only views: tamper through the table they index.
+        table = program.coordinator.main_table
+        table[plan.main.start] = dataclasses.replace(
             plan.main_feature_reads[0], start_address=total + 7)
         report = verify_artifacts(artifacts)
         oob = report.by_rule("mem.dram-oob")

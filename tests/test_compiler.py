@@ -19,6 +19,7 @@ from repro.errors import CompileError
 from repro.frontend import load
 from repro.nn.reference import init_weights
 from repro.nngen import NNGen
+from repro.zoo import BENCHMARKS
 
 MLP_TEXT = """
 name: "mlp"
@@ -276,3 +277,41 @@ class TestFullCompile:
                         and p.phase.phase_index == phase.phase_index)
             assert lookup(phase.layer, phase.phase_index) is want
         assert lookup(first.phase.layer, first.phase.phase_index) is first
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_plans_and_states_index_one_pattern_store(zoo_programs, name):
+    """The plans' flows, in fold order, are the three coordinator
+    tables, and every state selects exactly its plan's rows."""
+    for fraction in (0.05, 0.3, 1.0):
+        program = zoo_programs[name, fraction]
+        coordinator = program.coordinator
+        main, data, weight = [], [], []
+        for plan in program.address_plans:
+            main += plan.main_feature_reads
+            main += plan.main_weight_reads
+            main += plan.main_writes
+            data += plan.data_reads
+            weight += plan.weight_reads
+        where = (name, fraction)
+        assert main == coordinator.main_table, where
+        assert data == coordinator.data_table, where
+        assert weight == coordinator.weight_table, where
+        assert len(coordinator.states) == len(program.address_plans)
+        for state, plan in zip(coordinator.states, program.address_plans):
+            assert (state.layer, state.phase_index) == (
+                plan.phase.layer, plan.phase.phase_index), where
+            assert state.main_patterns == plan.main, where
+            assert state.data_patterns == plan.data, where
+            assert state.weight_patterns == plan.weight, where
+            assert plan.dram_read_words() == sum(
+                p.footprint for p in coordinator.main_table[
+                    plan.main.start:plan.writes_at]), where
+            assert plan.dram_write_words() == sum(
+                p.footprint for p in coordinator.main_table[
+                    plan.writes_at:plan.main.stop]), where
+            assert plan.buffer_read_words() == sum(
+                p.footprint
+                for p in coordinator.data_table[plan.data.start:plan.data.stop]
+                + coordinator.weight_table[plan.weight.start:plan.weight.stop]
+            ), where

@@ -5,12 +5,14 @@ break internal invariants on purpose and assert the breakage is caught
 rather than silently mis-simulated.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.analysis import analyze
 from repro.compiler import DeepBurningCompiler
 from repro.compiler.control import build_coordinator_program
-from repro.compiler.patterns import AccessPattern
 from repro.devices import Z7020, budget_fraction
 from repro.errors import (
     CompileError,
@@ -25,6 +27,7 @@ from repro.nn.reference import init_weights
 from repro.nngen import NNGen
 from repro.nngen.design import FoldPhase
 from repro.sim import AcceleratorSimulator
+from repro.sim.program_check import verify_program
 
 MLP_TEXT = """
 name: "mlp"
@@ -105,20 +108,26 @@ class TestSimulatorRejections:
 
     def test_tampered_pattern_out_of_dram(self, design):
         program = DeepBurningCompiler().compile(design)
-        plan = program.address_plans[0]
-        bad = AccessPattern(
-            start_address=program.memory_map.total_elements + 10_000,
-            x_length=8)
-        plan.main_feature_reads.append(bad)
-        # The simulator's timing layer tolerates extra traffic, but the
-        # pattern is detectably out of range for a checker.
+        plan = next(p for p in program.address_plans
+                    if p.main_feature_reads)
         top = program.memory_map.total_elements
-        assert any(
-            p.max_address() >= top
-            for pl in program.address_plans
-            for p in (pl.main_feature_reads + pl.main_weight_reads
-                      + pl.main_writes)
-        )
+        # Plans are read-only views, so tamper through the table they
+        # index: the plan's first feature read now starts past the top.
+        row = plan.main.start
+        original = program.coordinator.main_table[row]
+        program.coordinator.main_table[row] = dataclasses.replace(
+            original, start_address=top + 10_000)
+        assert plan.main_feature_reads[0].start_address == top + 10_000
+        # The simulator's timing layer reads the recorded traffic and
+        # still runs; both checkers catch the pattern.
+        AcceleratorSimulator(program).run(functional=False)
+        report = verify_program(program)
+        assert any(f"main pattern {row}: address" in error
+                   and "DRAM map" in error for error in report.errors)
+        findings = analyze(program, passes=("memory",)).by_rule(
+            "mem.dram-oob")
+        assert any(f"main table[{row}]" in finding.where
+                   for finding in findings)
 
     def test_functional_with_wrong_input_shape(self, design):
         weights = init_weights(design.graph)

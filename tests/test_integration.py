@@ -5,6 +5,8 @@ compile → emit → lint; the smaller ones additionally run a functional
 simulation checked against the float reference.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,9 @@ class TestCompileAll:
         program = programs[name]
         top = program.memory_map.total_elements
         for plan in program.address_plans:
-            for pattern in (plan.main_feature_reads + plan.main_weight_reads
-                            + plan.main_writes):
+            for pattern in itertools.chain(plan.main_feature_reads,
+                                           plan.main_weight_reads,
+                                           plan.main_writes):
                 assert 0 <= pattern.start_address < top, plan.phase
                 assert pattern.max_address() < top, plan.phase
 

@@ -1,6 +1,10 @@
 """Tests for the control-program verifier."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler import DeepBurningCompiler
 from repro.compiler.patterns import AccessPattern
@@ -9,7 +13,12 @@ from repro.errors import SimulationError
 from repro.experiments.config import scheme_budget
 from repro.frontend import load
 from repro.nngen import NNGen
-from repro.sim.program_check import verify_program
+from repro.sim.agu_model import AGUHardwareModel
+from repro.sim.program_check import (
+    ProgramCheckReport,
+    _replay_table,
+    verify_program,
+)
 from repro.zoo import benchmark_graph
 
 MLP_TEXT = """
@@ -98,3 +107,79 @@ class TestVerifyProgram:
 
     def test_clean_report_raises_nothing(self, mlp_program):
         verify_program(mlp_program).raise_on_error()
+
+
+class TestReplayOncePerShape:
+    """The check clocks one row per pattern shape; it rests on the AGU
+    model being translation-invariant in the start address."""
+
+    @given(
+        start=st.integers(0, 10_000),
+        x_length=st.integers(1, 20),
+        stride=st.integers(-8, 8),
+        y_length=st.integers(1, 10),
+        offset=st.integers(-300, 300),
+    )
+    @settings(max_examples=200)
+    def test_stream_from_start_is_stream_from_zero_shifted(
+            self, start, x_length, stride, y_length, offset):
+        at_zero = AccessPattern(start_address=0, x_length=x_length,
+                                stride=stride, y_length=y_length,
+                                offset=offset)
+        model = AGUHardwareModel([at_zero, at_zero.rebased(start)])
+        from_zero = model.run_pattern(0)
+        assert model.run_pattern(1) == [address + start
+                                        for address in from_zero]
+
+    def test_words_streamed_counts_every_row(self):
+        design = NNGen().generate(benchmark_graph("mnist"),
+                                  scheme_budget("DB"))
+        program = DeepBurningCompiler().compile(design)
+        coordinator = program.coordinator
+        tables = (coordinator.main_table, coordinator.data_table,
+                  coordinator.weight_table)
+        report = verify_program(program)
+        assert report.ok, report.errors
+        assert report.patterns_replayed == sum(len(t) for t in tables)
+        assert report.words_streamed == sum(
+            p.footprint for table in tables for p in table)
+
+    def test_duplicate_shape_moved_past_dram_detected(self):
+        design = NNGen().generate(benchmark_graph("mnist"),
+                                  scheme_budget("DB"))
+        program = DeepBurningCompiler().compile(design)
+        table = program.coordinator.main_table
+        top = program.memory_map.total_elements
+        first_of_shape = {}
+        for index, pattern in enumerate(table):
+            first = first_of_shape.setdefault(pattern.shape, index)
+            if first != index:
+                break
+        else:
+            pytest.fail("mnist's main table has no repeated shape")
+        # Row ``index`` is not clocked: the row ``first`` of its shape
+        # is.  Move it so only its last rows cross the DRAM top.
+        reach = max(table[first].expand()) - table[first].start_address
+        table[index] = dataclasses.replace(
+            table[index], start_address=top - reach)
+        report = verify_program(program)
+        assert not report.ok
+        assert report.errors == [
+            f"main pattern {index}: address {top} outside the "
+            f"{top}-element DRAM map"]
+
+    def test_duplicate_shape_bounded_on_both_sides(self):
+        # Only the first row is clocked; the others are bounded by their
+        # start plus the replay's lowest and highest offset (-30, 0).
+        first = AccessPattern(start_address=500, x_length=4, stride=-10)
+        table = [first, first.rebased(20), first.rebased(100),
+                 first.rebased(1000)]
+        report = ProgramCheckReport()
+        _replay_table(table, "main", report, dram_top=1000)
+        assert report.errors == [
+            "main pattern 1: address -10 outside the 1000-element DRAM map",
+            "main pattern 3: address 1000 outside the 1000-element DRAM "
+            "map",
+        ]
+        assert report.patterns_replayed == 4
+        assert report.words_streamed == 16

@@ -4,11 +4,17 @@ import pytest
 
 from repro.compiler import DeepBurningCompiler
 from repro.compiler.patterns import AccessPattern
-from repro.compiler.reduce import fields_for_patterns, reduce_agus
+from repro.compiler.reduce import (
+    fields_for_patterns,
+    pattern_rom,
+    reduce_agus,
+)
+from repro.components.agu import AGURole
 from repro.devices import Z7020, Z7045, budget_fraction
 from repro.errors import CompileError
 from repro.frontend import load
 from repro.nngen import NNGen
+from repro.zoo import BENCHMARKS
 
 MLP_TEXT = """
 name: "mlp"
@@ -117,3 +123,45 @@ class TestReduceInCompile:
             if not any(pattern.same_shape(s) for s in shapes):
                 shapes.append(pattern)
         assert weight_agu.n_patterns == len(shapes)
+
+
+class TestShapeKey:
+    def test_shape_is_the_sweep_without_its_start(self):
+        pattern = AccessPattern(start_address=40, x_length=3, stride=2,
+                                y_length=5, offset=-7, event="e")
+        assert pattern.shape == (3, 2, 5, -7)
+        assert pattern.rebased(999, event="f").shape == pattern.shape
+
+    def test_same_shape_compares_shapes(self):
+        a = AccessPattern(start_address=0, x_length=4, y_length=2, offset=9)
+        assert a.same_shape(a.rebased(100))
+        assert not a.same_shape(AccessPattern(start_address=0, x_length=4,
+                                              y_length=2, offset=8))
+
+
+def _quadratic_shape_count(table) -> int:
+    """Distinct shapes by pairwise ``same_shape`` (the reference)."""
+    distinct: list[AccessPattern] = []
+    for pattern in table:
+        if not any(pattern.same_shape(seen) for seen in distinct):
+            distinct.append(pattern)
+    return len(distinct)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_reduced_agus_match_the_full_tables(zoo_programs, name):
+    """The hashed shape key reduces every AGU exactly as a pairwise scan
+    over its whole table would."""
+    for fraction in (0.05, 0.3, 1.0):
+        program = zoo_programs[name, fraction]
+        coordinator = program.coordinator
+        tables = {AGURole.MAIN: coordinator.main_table,
+                  AGURole.DATA: coordinator.data_table,
+                  AGURole.WEIGHT: coordinator.weight_table}
+        for role, table in tables.items():
+            agu = program.design.component(f"agu_{role.value}")
+            rom = pattern_rom(table)
+            where = (name, fraction, role.value)
+            assert agu.n_patterns == _quadratic_shape_count(rom), where
+            assert agu.fields == fields_for_patterns(rom), where
+            assert agu.rows == len(rom), where
