@@ -8,6 +8,8 @@ the exact address envelope in closed form:
 * ``mem.region-bounds`` (ERROR) — a region exceeds the declared DRAM
   footprint;
 * ``mem.dram-oob`` (ERROR) — a main-AGU pattern leaves the DRAM map;
+  reported once per coordinator main-table row, naming the row's table
+  index and fold event;
 * ``mem.feature-read-oob`` / ``mem.weight-read-oob`` /
   ``mem.write-oob`` (ERROR) — a pattern escapes the region(s) its layer
   owns (feature reads may touch the layer's bottoms and tops — the
@@ -112,8 +114,9 @@ class _MemoryPass:
 
     def _check_main_table(self) -> None:
         # The coordinator's main table is what the hardware AGU actually
-        # replays; bound it against DRAM exactly like the address plans
-        # (the dynamic checker enforces the same invariant by replay).
+        # replays, and every plan's main flows are rows of it; bound each
+        # row against DRAM here, once (the dynamic checker enforces the
+        # same invariant by replay).
         total = self.memory_map.total_elements
         for index, pattern in enumerate(self.program.coordinator.main_table):
             span = pattern_span(pattern)
@@ -155,13 +158,7 @@ class _MemoryPass:
             for pattern in patterns:
                 span = pattern_span(pattern)
                 if span[0] < 0 or span[1] >= total:
-                    self._emit(
-                        "mem.dram-oob", Severity.ERROR, where,
-                        f"{group} pattern sweeps [{span[0]}, {span[1]}] "
-                        f"outside the {total}-element DRAM map",
-                        span=list(span), total_elements=total,
-                    )
-                    continue
+                    continue  # a main-table row: _check_main_table reports it
                 if group == "feature read":
                     home = next(
                         (name for name in readable

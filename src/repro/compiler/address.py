@@ -4,24 +4,38 @@ For every fold phase the compiler produces the four address flows the
 AGUs replay (paper §3.3): main-AGU reads (DRAM → buffers, features and
 weights), main-AGU writes (result tiles back to DRAM), data-AGU reads
 (feature buffer → datapath) and weight-AGU reads (weight buffer →
-datapath).  Streams are produced in affine :class:`AccessPattern` form
-directly where the geometry is known, and through the
-:func:`~repro.compiler.patterns.infer_patterns` analyzer when a raw
-stream is easier to enumerate (small dense layers) — both roads end in
-the same FSM representation the hardware generator consumes.
+datapath), each in affine :class:`AccessPattern` form.
+
+A design sweep compiles every candidate design, so this is the hot path
+of design-space exploration.  :class:`AddressFlowGenerator` therefore
+resolves each layer's geometry once per design — feature layouts and
+bases, map and tile-row pitches, tile side, window words, position
+step, weight region, lanes and the ``layer{id}-fold`` event prefix —
+into a per-layer context, and the per-fold code is arithmetic over that
+context and the :class:`~repro.nngen.design.FoldPhase` fields.  Each
+fold's rows go straight into the program's :class:`PatternTables`, and
+the fold's word counts are summed as the rows are made.
+
+:func:`compress_stream` is the other road into the same form: the
+:func:`~repro.compiler.patterns.infer_patterns` analyzer over a raw
+address stream (the paper's generalization step).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 
+from repro.compiler.layout import FeatureLayout, WeightLayout
 from repro.compiler.memmap import MemoryMap
 from repro.compiler.patterns import AccessPattern, infer_patterns
 from repro.errors import CompileError
 from repro.frontend.layers import LayerKind, LayerSpec
 from repro.nngen.design import AcceleratorDesign, FoldPhase
+
+#: Layers whose folds are dense matrix-vector blocks.
+_DENSE_KINDS = frozenset({LayerKind.INNER_PRODUCT, LayerKind.RECURRENT,
+                          LayerKind.ASSOCIATIVE})
 
 
 class PatternTables:
@@ -125,40 +139,64 @@ class PhaseAddressPlan:
         return self.replay_words
 
 
-def phase_event(phase: FoldPhase, layer_index: int) -> str:
-    """The pre-defined trigger event name, e.g. ``layer0-fold0``."""
-    return f"layer{layer_index}-fold{phase.phase_index}"
+@dataclass(frozen=True)
+class _LayerContext:
+    """Per-layer geometry the flow arithmetic reuses across folds.
+
+    Addresses are in DRAM elements; a pitch is the distance between
+    consecutive channel maps (``*_map_pitch``) or tile rows
+    (``*_row_pitch``) of a Method-1 tiled blob.
+    """
+
+    spec: LayerSpec
+    #: A fold's pre-defined trigger event is this prefix plus its phase
+    #: index, e.g. ``layer0-fold0``.
+    event_prefix: str
+    lanes: int
+    in_base: int = 0
+    out_base: int = 0
+    #: Weighted layers: the layer's weight region.
+    weights: WeightLayout | None = None
+    #: Dense layers: words of the input blob (recurrent state lies past
+    #: it, in the output region).
+    in_size: int = 0
+    #: Convolution layers: kernel words per input channel, tile sides
+    #: and pitches of the input and output blobs, output map width, and
+    #: the data AGU's window words per channel and position step.
+    kernel_words: int = 0
+    in_side: int = 1
+    in_map_pitch: int = 0
+    in_row_pitch: int = 0
+    out_side: int = 1
+    out_map_pitch: int = 0
+    out_row_pitch: int = 0
+    out_width: int = 0
+    window_words: int = 0
+    position_step: int = 0
+    #: Elementwise layers: ``(base, words)`` of every bottom blob.
+    streams: tuple[tuple[int, int], ...] = ()
 
 
-def _words(patterns: list[AccessPattern]) -> int:
-    return sum(map(_footprint, patterns))
-
-
-_footprint = attrgetter("footprint")
-
-
-class _FoldFlows:
-    """One fold's five flows while the generator builds them."""
-
-    __slots__ = ("main_feature_reads", "main_weight_reads", "main_writes",
-                 "data_reads", "weight_reads")
-
-    def __init__(self) -> None:
-        self.main_feature_reads: list[AccessPattern] = []
-        self.main_weight_reads: list[AccessPattern] = []
-        self.main_writes: list[AccessPattern] = []
-        self.data_reads: list[AccessPattern] = []
-        self.weight_reads: list[AccessPattern] = []
+def _pitches(layout: FeatureLayout) -> tuple[int, int]:
+    """``(map pitch, tile-row pitch)`` of a tiled feature blob."""
+    return (layout.tiles_per_map * layout.tile_elements,
+            layout.tiles_x * layout.tile_elements)
 
 
 class AddressFlowGenerator:
-    """Generates the address plans of every fold in a design."""
+    """Generates the address plans of every fold in a design.
+
+    Each layer's geometry is resolved once (:meth:`_context`); the
+    per-fold methods are arithmetic over it and the fold's fields, and
+    append the fold's rows straight into the :class:`PatternTables`.
+    """
 
     def __init__(self, design: AcceleratorDesign, memory_map: MemoryMap) -> None:
         self.design = design
         self.memory_map = memory_map
         self.resolved = design.resolved
         self.shapes = design.resolved.shapes
+        self._layers: dict[str, _LayerContext] = {}
 
     def plans(self) -> list[PhaseAddressPlan]:
         """One plan per fold, in fold order, over one fresh
@@ -169,27 +207,85 @@ class AddressFlowGenerator:
 
     # ------------------------------------------------------------------
 
+    def _context(self, layer: str) -> _LayerContext:
+        context = self._layers.get(layer)
+        if context is not None:
+            return context
+        memory_map = self.memory_map
+        spec = self.resolved.layer(layer)
+        prefix = f"layer{self.resolved.ids[spec.name]}-fold"
+        lanes = self.design.datapath.lanes
+        if spec.kind.is_convolution:
+            blob_in, blob_out = spec.bottoms[0], spec.tops[0]
+            in_layout = memory_map.feature_layout(blob_in)
+            out_layout = memory_map.feature_layout(blob_out)
+            in_map_pitch, in_row_pitch = _pitches(in_layout)
+            out_map_pitch, out_row_pitch = _pitches(out_layout)
+            k = spec.kernel_size
+            # The data AGU sweeps one window per output position; at
+            # sub-block granularity a window covers ceil(k/side)^2 tiles
+            # per map.
+            side = in_layout.side
+            if side > 1:
+                window_words = (-(-k // side)) ** 2 * side * side
+                position_step = spec.stride * side
+            else:
+                window_words = k * k
+                position_step = spec.stride
+            context = _LayerContext(
+                spec, prefix, lanes,
+                in_base=memory_map.feature_base(blob_in),
+                out_base=memory_map.feature_base(blob_out),
+                weights=memory_map.weights(spec.name),
+                kernel_words=k * k,
+                in_side=side,
+                in_map_pitch=in_map_pitch,
+                in_row_pitch=in_row_pitch,
+                out_side=out_layout.side,
+                out_map_pitch=out_map_pitch,
+                out_row_pitch=out_row_pitch,
+                out_width=self.shapes[blob_out].width,
+                window_words=window_words,
+                position_step=position_step,
+            )
+        elif spec.kind in _DENSE_KINDS:
+            context = _LayerContext(
+                spec, prefix, lanes,
+                in_base=memory_map.feature_base(spec.bottoms[0]),
+                out_base=memory_map.feature_base(spec.tops[0]),
+                weights=memory_map.weights(spec.name),
+                in_size=self.shapes[spec.bottoms[0]].size,
+            )
+        else:
+            context = _LayerContext(
+                spec, prefix, lanes,
+                in_base=memory_map.feature_base(spec.bottoms[0])
+                if spec.bottoms else 0,
+                out_base=memory_map.feature_base(spec.tops[0])
+                if spec.tops else 0,
+                streams=tuple((memory_map.feature_base(blob),
+                               self.shapes[blob].size)
+                              for blob in spec.bottoms)
+                if spec.kind is LayerKind.ELTWISE else (),
+            )
+        self._layers[layer] = context
+        return context
+
     def _plan_phase(self, phase: FoldPhase,
                     tables: PatternTables) -> PhaseAddressPlan:
-        spec = self.resolved.layer(phase.layer)
-        event = phase_event(phase, self.resolved.ids[spec.name])
-        flows = _FoldFlows()
-        if spec.kind.is_convolution:
-            self._conv_flows(spec, phase, event, flows)
-        elif spec.kind in (LayerKind.INNER_PRODUCT, LayerKind.RECURRENT,
-                           LayerKind.ASSOCIATIVE):
-            self._dense_flows(spec, phase, event, flows)
-        else:
-            self._streaming_flows(spec, phase, event, flows)
+        context = self._context(phase.layer)
+        event = f"{context.event_prefix}{phase.phase_index}"
         main, data, weight = tables.main, tables.data, tables.weight
         main_start, data_start, weight_start = len(main), len(data), len(weight)
-        main += flows.main_feature_reads
-        weight_reads_at = len(main)
-        main += flows.main_weight_reads
-        writes_at = len(main)
-        main += flows.main_writes
-        data += flows.data_reads
-        weight += flows.weight_reads
+        kind = context.spec.kind
+        if kind.is_convolution:
+            flows = self._conv_flows
+        elif kind in _DENSE_KINDS:
+            flows = self._dense_flows
+        else:
+            flows = self._streaming_flows
+        weight_reads_at, writes_at, read_words, write_words, replay_words = \
+            flows(context, phase, event, tables)
         return PhaseAddressPlan(
             phase=phase,
             event=event,
@@ -199,185 +295,170 @@ class AddressFlowGenerator:
             writes_at=writes_at,
             data=range(data_start, len(data)),
             weight=range(weight_start, len(weight)),
-            read_words=(_words(flows.main_feature_reads)
-                        + _words(flows.main_weight_reads)),
-            write_words=_words(flows.main_writes),
-            replay_words=(_words(flows.data_reads)
-                          + _words(flows.weight_reads)),
+            read_words=read_words,
+            write_words=write_words,
+            replay_words=replay_words,
         )
+
+    # Each ``*_flows`` method appends one fold's rows to the tables (main
+    # table: feature reads, weight reads, then writes) and returns
+    # ``(weight_reads_at, writes_at, read_words, write_words,
+    # replay_words)``: the main-table split points and the words the
+    # rows sweep (``x_length * y_length`` each).
 
     # -- dense layers ---------------------------------------------------
 
-    def _dense_flows(self, spec: LayerSpec, phase: FoldPhase, event: str,
-                     flows: _FoldFlows) -> None:
-        blob_in = spec.bottoms[0]
-        blob_out = spec.tops[0]
-        in_base = self.memory_map.feature_base(blob_in)
-        weights = self.memory_map.weights(spec.name)
-
+    def _dense_flows(self, context: _LayerContext, phase: FoldPhase,
+                     event: str, tables: PatternTables
+                     ) -> tuple[int, int, int, int, int]:
+        main = tables.main
+        weights = context.weights
+        assert weights is not None
         depth = phase.in_count
         outputs = phase.out_count
-        in_size = self.shapes[blob_in].size
+        read_words = write_words = 0
 
         # Feature fetch: the contiguous input slice.  Recurrent state
         # (addresses past the input blob) lives in the output region and
         # is already on chip, so only the real-input part is fetched.
-        fetch_depth = min(depth, max(0, in_size - phase.in_start))
+        fetch_depth = min(depth, max(0, context.in_size - phase.in_start))
         if fetch_depth > 0:
-            flows.main_feature_reads.append(AccessPattern(
-                start_address=in_base + phase.in_start,
+            main.append(AccessPattern(
+                start_address=context.in_base + phase.in_start,
                 x_length=fetch_depth, event=event,
             ))
+            read_words += fetch_depth
+        weight_reads_at = len(main)
         # Weight fetch: a (outputs x depth) block, one row per output.
-        flows.main_weight_reads.append(AccessPattern(
-            start_address=weights.block_address(phase.out_start, phase.in_start),
+        main.append(AccessPattern(
+            start_address=weights.block_address(phase.out_start,
+                                                phase.in_start),
             x_length=depth,
             y_length=outputs,
             offset=weights.depth,
             event=event,
         ))
+        read_words += depth * outputs
+        writes_at = len(main)
         # Writeback of completed outputs (partial sums stay on chip).
         if not phase.partial:
-            out_base = self.memory_map.feature_base(blob_out)
-            flows.main_writes.append(AccessPattern(
-                start_address=out_base + phase.out_start,
+            main.append(AccessPattern(
+                start_address=context.out_base + phase.out_start,
                 x_length=outputs, event=event,
             ))
+            write_words = outputs
         # Data AGU: replay the input slice once per lane wave.
-        lanes = self.design.datapath.lanes
-        waves = -(-outputs // lanes)
-        flows.data_reads.append(AccessPattern(
+        waves = -(-outputs // context.lanes)
+        tables.data.append(AccessPattern(
             start_address=0, x_length=depth, y_length=waves, offset=0,
             event=event,
         ))
         # Weight AGU: stream the block in consumption order.
-        flows.weight_reads.append(AccessPattern(
+        tables.weight.append(AccessPattern(
             start_address=0, x_length=depth, y_length=outputs, offset=depth,
             event=event,
         ))
+        return (weight_reads_at, writes_at, read_words, write_words,
+                depth * waves + depth * outputs)
 
     # -- convolution layers ----------------------------------------------
 
-    def _conv_flows(self, spec: LayerSpec, phase: FoldPhase, event: str,
-                    flows: _FoldFlows) -> None:
-        blob_in = spec.bottoms[0]
-        blob_out = spec.tops[0]
-        in_layout = self.memory_map.feature_layout(blob_in)
-        in_base = self.memory_map.feature_base(blob_in)
-        out_layout = self.memory_map.feature_layout(blob_out)
-        out_base = self.memory_map.feature_base(blob_out)
-        weights = self.memory_map.weights(spec.name)
-        out_shape = self.shapes[blob_out]
-        k = spec.kernel_size
-        out_w = out_shape.width
-
-        channels = phase.out_ch_count
-        depth = phase.in_ch_count
-        band_rows = phase.row_count
+    def _conv_flows(self, context: _LayerContext, phase: FoldPhase,
+                    event: str, tables: PatternTables
+                    ) -> tuple[int, int, int, int, int]:
+        # Nearly every fold of a CNN sweep lands here, so the rows are
+        # built positionally: (start_address, x_length, stride, y_length,
+        # offset, event).
+        main = tables.main
+        weights = context.weights
+        assert weights is not None
+        channels = max(1, phase.out_ch_count)
+        depth = max(1, phase.in_ch_count)
 
         # Feature fetch: the input band of each channel in the slice is a
         # run of whole tile rows; channel bands repeat at the map pitch.
-        map_pitch = in_layout.tiles_per_map * in_layout.tile_elements
-        per_map_band = phase.input_words // max(1, depth)
-        in_row_start = phase.row_start * spec.stride
-        tile_row = in_row_start // in_layout.side
-        band_start = tile_row * in_layout.tiles_x * in_layout.tile_elements
-        flows.main_feature_reads.append(AccessPattern(
-            start_address=in_base + phase.in_ch_start * map_pitch + band_start,
-            x_length=max(1, per_map_band),
-            y_length=max(1, depth),
-            offset=map_pitch,
-            event=event,
-        ))
+        per_map_band = max(1, phase.input_words // depth)
+        tile_row = phase.row_start * context.spec.stride // context.in_side
+        in_map_pitch = context.in_map_pitch
+        main.append(AccessPattern(
+            context.in_base + phase.in_ch_start * in_map_pitch
+            + tile_row * context.in_row_pitch,
+            per_map_band, 1, depth, in_map_pitch, event))
+        read_words = per_map_band * depth
+        weight_reads_at = len(main)
 
         # Weight fetch: one row per output channel in the chunk; each
         # row's input-channel slice is contiguous (channel-major storage).
-        slice_depth = depth * k * k
-        flows.main_weight_reads.append(AccessPattern(
-            start_address=weights.block_address(
-                phase.out_ch_start, phase.in_ch_start * k * k),
-            x_length=slice_depth,
-            y_length=max(1, channels),
-            offset=weights.depth,
-            event=event,
-        ))
+        kernel_words = context.kernel_words
+        slice_depth = phase.in_ch_count * kernel_words
+        main.append(AccessPattern(
+            weights.block_address(phase.out_ch_start,
+                                  phase.in_ch_start * kernel_words),
+            slice_depth, 1, channels, weights.depth, event))
+        read_words += slice_depth * channels
+        writes_at = len(main)
 
         # Writeback: the produced output band of each channel.
+        write_words = 0
         if not phase.partial:
-            out_map_pitch = out_layout.tiles_per_map * out_layout.tile_elements
-            out_tile_row = phase.row_start // out_layout.side
-            out_band_start = (out_tile_row * out_layout.tiles_x
-                              * out_layout.tile_elements)
-            per_channel_out = phase.output_words // max(1, channels)
-            flows.main_writes.append(AccessPattern(
-                start_address=out_base + phase.out_ch_start * out_map_pitch
-                + out_band_start,
-                x_length=max(1, per_channel_out),
-                y_length=max(1, channels),
-                offset=out_map_pitch,
-                event=event,
-            ))
+            per_channel_out = max(1, phase.output_words // channels)
+            out_tile_row = phase.row_start // context.out_side
+            out_map_pitch = context.out_map_pitch
+            main.append(AccessPattern(
+                context.out_base + phase.out_ch_start * out_map_pitch
+                + out_tile_row * context.out_row_pitch,
+                per_channel_out, 1, channels, out_map_pitch, event))
+            write_words = per_channel_out * channels
 
-        # Data AGU: one window sweep per output position; at sub-block
-        # granularity each window covers ceil(k/side)^2 tiles per map.
-        side = in_layout.side
-        if side > 1:
-            tiles_per_window = (-(-k // side)) ** 2
-            window_words = tiles_per_window * side * side
-            position_step = spec.stride * side
-        else:
-            window_words = k * k
-            position_step = spec.stride
-        positions = band_rows * out_w
-        flows.data_reads.append(AccessPattern(
-            start_address=0,
-            x_length=window_words * max(1, depth),
-            y_length=max(1, positions),
-            offset=position_step,
-            event=event,
-        ))
+        # Data AGU: one window sweep per output position.
+        window = context.window_words * depth
+        positions = max(1, phase.row_count * context.out_width)
+        tables.data.append(AccessPattern(
+            0, window, 1, positions, context.position_step, event))
         # Weight AGU: the kernel slice of each output channel streams once
         # per position wave (lanes cover the channel chunk in parallel).
-        flows.weight_reads.append(AccessPattern(
-            start_address=0,
-            x_length=slice_depth,
-            y_length=max(1, min(channels, self.design.datapath.lanes)),
-            offset=slice_depth,
-            event=event,
-        ))
+        waves = max(1, min(phase.out_ch_count, context.lanes))
+        tables.weight.append(AccessPattern(
+            0, slice_depth, 1, waves, slice_depth, event))
+        return (weight_reads_at, writes_at, read_words, write_words,
+                window * positions + slice_depth * waves)
 
     # -- streaming layers -------------------------------------------------
 
-    def _streaming_flows(self, spec: LayerSpec, phase: FoldPhase,
-                         event: str, flows: _FoldFlows) -> None:
+    def _streaming_flows(self, context: _LayerContext, phase: FoldPhase,
+                         event: str, tables: PatternTables
+                         ) -> tuple[int, int, int, int, int]:
+        main, data = tables.main, tables.data
+        spec = context.spec
+        read_words = write_words = 0
         if spec.kind is LayerKind.ELTWISE:
-            # Every residual branch streams through in full; the fold's
-            # input_words is the sum over all bottoms.
-            for blob in spec.bottoms:
-                words = self.shapes[blob].size
-                flows.main_feature_reads.append(AccessPattern(
-                    start_address=self.memory_map.feature_base(blob),
-                    x_length=words, event=event,
+            # Elementwise: every residual branch streams through in
+            # full; the fold's input_words is the sum over all bottoms.
+            for base, words in context.streams:
+                main.append(AccessPattern(
+                    start_address=base, x_length=words, event=event,
                 ))
-                flows.data_reads.append(AccessPattern(
+                data.append(AccessPattern(
                     start_address=0, x_length=words, event=event,
                 ))
-        elif spec.bottoms:
-            in_base = self.memory_map.feature_base(spec.bottoms[0])
-            if phase.input_words:
-                flows.main_feature_reads.append(AccessPattern(
-                    start_address=in_base + phase.in_start,
-                    x_length=phase.input_words, event=event,
-                ))
-                flows.data_reads.append(AccessPattern(
-                    start_address=0, x_length=phase.input_words, event=event,
-                ))
+                read_words += words
+        elif spec.bottoms and phase.input_words:
+            main.append(AccessPattern(
+                start_address=context.in_base + phase.in_start,
+                x_length=phase.input_words, event=event,
+            ))
+            data.append(AccessPattern(
+                start_address=0, x_length=phase.input_words, event=event,
+            ))
+            read_words = phase.input_words
+        writes_at = len(main)
         if spec.tops and phase.output_words:
-            out_base = self.memory_map.feature_base(spec.tops[0])
-            flows.main_writes.append(AccessPattern(
-                start_address=out_base + phase.out_start,
+            main.append(AccessPattern(
+                start_address=context.out_base + phase.out_start,
                 x_length=phase.output_words, event=event,
             ))
+            write_words = phase.output_words
+        return writes_at, writes_at, read_words, write_words, read_words
 
 
 def dense_reference_stream(weights_base: int, depth_total: int,

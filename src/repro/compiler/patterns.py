@@ -13,16 +13,12 @@ a raw address stream back into that form, and the pair satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import PatternError
 
 
-@dataclass(frozen=True)
-class AccessPattern:
-    """One compiled AGU pattern (paper Fig. 6 template, reduced)."""
-
+class _PatternFields(NamedTuple):
     start_address: int
     x_length: int
     stride: int = 1
@@ -31,14 +27,34 @@ class AccessPattern:
     #: Which pre-defined event triggers this pattern (e.g. "layer0-fold0").
     event: str = ""
 
-    def __post_init__(self) -> None:
-        if self.x_length < 1 or self.y_length < 1:
+
+class AccessPattern(_PatternFields):
+    """One compiled AGU pattern (paper Fig. 6 template, reduced).
+
+    An immutable record backed by a tuple: a compiled program holds one
+    per coordinator-table row, so it carries no per-instance ``__dict__``.
+    Every way of making one validates it, ``_make`` and ``_replace``
+    included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start_address: int, x_length: int, stride: int = 1,
+                y_length: int = 1, offset: int = 0,
+                event: str = "") -> "AccessPattern":
+        if x_length < 1 or y_length < 1:
             raise PatternError(
-                f"pattern lengths must be positive, got x={self.x_length} "
-                f"y={self.y_length}"
+                f"pattern lengths must be positive, got x={x_length} "
+                f"y={y_length}"
             )
-        if self.start_address < 0:
+        if start_address < 0:
             raise PatternError("pattern start address cannot be negative")
+        return tuple.__new__(cls, (start_address, x_length, stride,
+                                   y_length, offset, event))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "AccessPattern":
+        return cls(*iterable)
 
     @property
     def footprint(self) -> int:
@@ -71,7 +87,7 @@ class AccessPattern:
         """The sweep without its start: ``(x_length, stride, y_length,
         offset)``.  Folds of one layer share a shape; the AGU reduction
         and the program check key on it."""
-        return (self.x_length, self.stride, self.y_length, self.offset)
+        return self[1:5]  # the four fields after start_address
 
     def fields_used(self) -> tuple[str, ...]:
         """Template fields this pattern actually exercises.

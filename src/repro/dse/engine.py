@@ -55,7 +55,12 @@ from repro.errors import DeepBurningError
 from repro.estimate.model import AnalyticEstimator
 from repro.frontend.graph import NetworkGraph
 from repro.nngen.generator import NNGen
-from repro.pipeline import BuildPipeline, default_pipeline, stage_key
+from repro.pipeline import (
+    BuildPipeline,
+    _declaration_order,
+    default_pipeline,
+    stage_key,
+)
 
 #: Evaluation modes, which differ only in the report on each built
 #: design: the simulator, the closed-form estimator, or the analytic
@@ -285,8 +290,9 @@ def _design_group_key(pipe: BuildPipeline, graph: NetworkGraph, fp: str,
                      point.fold_capacity_scale)
         key = keys.get(effective)
         if key is None:
-            key = "design:" + pipe.design_key(fp, budget, config,
-                                              point.fold_capacity_scale)
+            key = "design:" + pipe.design_key(
+                fp, _declaration_order(graph), budget, config,
+                point.fold_capacity_scale)
             keys[effective] = key
         return key
     except DeepBurningError:

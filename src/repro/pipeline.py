@@ -16,10 +16,10 @@ stage      key components
 resolve    graph fingerprint
 weights    fingerprint, seed, declaration order (a lazy seeded source)
 datapath   fingerprint, budget (device + limits + label), formats
-design     fingerprint, budget, formats, *effective* lane/SIMD caps,
-           fold-capacity scale
-compile    design key, declaration order (the control program is
-           weight-independent when no calibration inputs are given)
+design     fingerprint, declaration order, budget, formats,
+           *effective* lane/SIMD caps, fold-capacity scale
+compile    design key (the control program is weight-independent when
+           no calibration inputs are given)
 dram       fingerprint, seed, declaration order, weight format, SIMD
            alignment
 reference  fingerprint, seed, declaration order (float forward for
@@ -35,10 +35,10 @@ design memoized for a same-topology graph under another name gets that
 design and its compiled core rebound to its own graph.
 
 The fingerprint ignores declaration order, but the seeded draw walks
-the weighted layers in that order, the memory map lays blobs and
-weights out in it, and an in-place reader sees the write declared
-before it.  So the three seeded stages and the compiled core also key
-on the layer names in declaration order.
+the weighted layers in that order, the fold schedule and the memory map
+follow it, and an in-place reader sees the write declared before it.
+So the three seeded stages and the design stage (and through its key
+the compiled core) also key on the layer names in declaration order.
 
 The ``dram`` stage's image, stored at the weight format's width, is the
 only integer copy of the weights, and a seeded build draws its Gaussian
@@ -290,15 +290,18 @@ class BuildPipeline:
             lambda: gen.datapath(resolved, budget, data_format=data_format,
                                  weight_format=weight_format))
 
-    def design_key(self, fp: str, budget: ResourceBudget, config,
+    def design_key(self, fp: str, order: list[str],
+                   budget: ResourceBudget, config,
                    fold_capacity_scale: float) -> str:
         """Content address of a *realized* design.
 
         Keyed on the effective (post-cap) datapath configuration, so cap
-        values above what the budget supports collapse onto one entry.
+        values above what the budget supports collapse onto one entry,
+        and on the layer names in declaration ``order``, which the fold
+        schedule follows.
         """
         return stage_key(
-            "design", fp=fp, budget=_budget_fields(budget),
+            "design", fp=fp, order=order, budget=_budget_fields(budget),
             data_bits=[config.data_format.integer_bits,
                        config.data_format.fraction_bits],
             weight_bits=[config.weight_format.integer_bits,
@@ -319,7 +322,8 @@ class BuildPipeline:
         config, choose_s = self.datapath(resolved, fp, budget, data_format,
                                          weight_format)
         config = NNGen.apply_caps(config, max_lanes, max_simd)
-        key = self.design_key(fp, budget, config, fold_capacity_scale)
+        key = self.design_key(fp, _declaration_order(resolved.graph),
+                              budget, config, fold_capacity_scale)
         design, realise_s = self.cache.get_or_build(
             "design", key,
             lambda: gen.realise_design(resolved, budget, config,
@@ -331,12 +335,11 @@ class BuildPipeline:
 
         With no calibration inputs the coordinator program, address
         plans, memory map, blob formats and LUTs depend only on the
-        design and on the declaration order its memory map lays blobs
-        and weights out in, so one compiled core serves every weight
-        set.
+        design, whose key covers the declaration order the memory map
+        lays blobs and weights out in, so one compiled core serves every
+        weight set.
         """
-        key = stage_key("compile", design=design_key,
-                        order=_declaration_order(design.graph))
+        key = stage_key("compile", design=design_key)
         return self.cache.get_or_build(
             "compile", key,
             lambda: DeepBurningCompiler().compile(design, weights=None))
@@ -443,8 +446,8 @@ class BuildPipeline:
             fold_capacity_scale=fold_capacity_scale)
         timings["nngen_s"] = nngen_s
         if design.resolved is not resolved:
-            # A hit on a same-fingerprint graph (another name, or another
-            # declaration order): report and run this build's graph.
+            # A hit on a same-fingerprint graph under another name:
+            # report and run this build's graph.
             design = replace(design, resolved=resolved)
         core, compile_s = self.compile_core(design, design_key)
         timings["compile_s"] = compile_s

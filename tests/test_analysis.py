@@ -242,8 +242,8 @@ class TestBrokenDesigns:
         plan = next(p for p in program.address_plans if p.main_feature_reads)
         # Plans are read-only views: tamper through the table they index.
         table = program.coordinator.main_table
-        table[plan.main.start] = dataclasses.replace(
-            plan.main_feature_reads[0], start_address=total + 7)
+        table[plan.main.start] = plan.main_feature_reads[0].rebased(
+            total + 7)
         report = verify_artifacts(artifacts)
         oob = report.by_rule("mem.dram-oob")
         assert oob and oob[0].severity is Severity.ERROR
@@ -253,7 +253,7 @@ class TestBrokenDesigns:
         program = artifacts.program
         table = program.coordinator.main_table
         total = program.memory_map.total_elements
-        table[0] = dataclasses.replace(table[0], start_address=total + 1)
+        table[0] = table[0].rebased(total + 1)
         static = verify_artifacts(artifacts)
         assert not static.ok
         from repro.sim.program_check import verify_program

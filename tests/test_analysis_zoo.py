@@ -8,8 +8,6 @@ verdict never contradicts :func:`repro.sim.program_check.verify_program`
 failure must be caught statically.
 """
 
-import dataclasses
-
 from repro import api
 from repro.analysis import verify_artifacts
 from repro.pipeline import BuildPipeline
@@ -48,6 +46,6 @@ def test_dynamic_failure_is_caught_statically():
     program = artifacts.program
     table = program.coordinator.main_table
     total = program.memory_map.total_elements
-    table[0] = dataclasses.replace(table[0], start_address=total + 3)
+    table[0] = table[0].rebased(total + 3)
     assert not verify_program(program).ok
     assert not verify_artifacts(artifacts).ok

@@ -5,8 +5,6 @@ break internal invariants on purpose and assert the breakage is caught
 rather than silently mis-simulated.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -115,8 +113,7 @@ class TestSimulatorRejections:
         # index: the plan's first feature read now starts past the top.
         row = plan.main.start
         original = program.coordinator.main_table[row]
-        program.coordinator.main_table[row] = dataclasses.replace(
-            original, start_address=top + 10_000)
+        program.coordinator.main_table[row] = original.rebased(top + 10_000)
         assert plan.main_feature_reads[0].start_address == top + 10_000
         # The simulator's timing layer reads the recorded traffic and
         # still runs; both checkers catch the pattern.
@@ -124,10 +121,11 @@ class TestSimulatorRejections:
         report = verify_program(program)
         assert any(f"main pattern {row}: address" in error
                    and "DRAM map" in error for error in report.errors)
+        # The memory pass reports the row once, by table index and fold.
         findings = analyze(program, passes=("memory",)).by_rule(
             "mem.dram-oob")
-        assert any(f"main table[{row}]" in finding.where
-                   for finding in findings)
+        assert [finding.where for finding in findings] == [
+            f"main table[{row}] ({plan.event})"]
 
     def test_functional_with_wrong_input_shape(self, design):
         weights = init_weights(design.graph)

@@ -178,3 +178,69 @@ class TestProperties:
     def test_infer_patterns_always_roundtrips(self, stream):
         patterns = infer_patterns(stream, max_patterns=len(stream))
         assert expand_patterns(patterns) == stream
+
+
+#: Every way of making a pattern from field values.
+CONSTRUCTIONS = {
+    "keywords": lambda fields: AccessPattern(**fields),
+    "positional": lambda fields: AccessPattern(*fields.values()),
+    "make": lambda fields: AccessPattern._make(fields.values()),
+    "replace": lambda fields: AccessPattern(0, 1)._replace(**fields),
+    "rebased": lambda fields: AccessPattern(
+        0, fields["x_length"], fields["stride"], fields["y_length"],
+        fields["offset"]).rebased(fields["start_address"], fields["event"]),
+}
+
+GOOD = {"start_address": 3, "x_length": 4, "stride": 2, "y_length": 5,
+        "offset": 64, "event": "layer0-fold1"}
+
+
+class TestAccessPatternRecord:
+    """The record contract the compiled tables rely on."""
+
+    @pytest.mark.parametrize("build", CONSTRUCTIONS.values(),
+                             ids=list(CONSTRUCTIONS))
+    def test_every_construction_builds_the_same_pattern(self, build):
+        assert build(dict(GOOD)) == AccessPattern(**GOOD)
+
+    @pytest.mark.parametrize("bad", [
+        {"x_length": 0}, {"y_length": 0}, {"x_length": -2},
+        {"start_address": -1},
+    ], ids=["x-zero", "y-zero", "x-negative", "start-negative"])
+    @pytest.mark.parametrize("build", CONSTRUCTIONS.values(),
+                             ids=list(CONSTRUCTIONS))
+    def test_every_construction_validates(self, build, bad):
+        # ``rebased`` cannot change the lengths, so its bad lengths are
+        # rejected by the pattern it starts from.
+        with pytest.raises(PatternError):
+            build({**GOOD, **bad})
+
+    def test_fields_cannot_be_assigned(self):
+        pattern = AccessPattern(**GOOD)
+        with pytest.raises(AttributeError):
+            pattern.start_address = 9
+        with pytest.raises(AttributeError):
+            pattern.note = "extra"
+        assert pattern == AccessPattern(**GOOD)
+
+    @given(affine_patterns(), st.text(max_size=12))
+    @settings(max_examples=100)
+    def test_equal_fields_give_equal_patterns_and_hashes(self, pattern,
+                                                         event):
+        fields = {"start_address": pattern.start_address,
+                  "x_length": pattern.x_length, "stride": pattern.stride,
+                  "y_length": pattern.y_length, "offset": pattern.offset,
+                  "event": event}
+        one, two = AccessPattern(**fields), AccessPattern(**fields)
+        assert one == two and hash(one) == hash(two)
+        assert one.rebased(one.start_address + 1) != one
+
+    def test_repr_is_the_field_listing(self):
+        # The tables' digests and the checkers' messages read it.
+        assert repr(AccessPattern(**GOOD)) == (
+            "AccessPattern(start_address=3, x_length=4, stride=2, "
+            "y_length=5, offset=64, event='layer0-fold1')")
+        assert repr(AccessPattern(7, 1)) == (
+            "AccessPattern(start_address=7, x_length=1, stride=1, "
+            "y_length=1, offset=0, event='')")
+

@@ -320,7 +320,7 @@ class TestTransparency:
         ``reader-order`` swaps an in-place writer and a reader of its
         blob, which changes what the float reference computes.  Built
         on one shared pipeline, each graph must get what a private
-        pipeline gives it."""
+        pipeline gives it, its fold order included."""
         lines = {
             "ipa": 'layers { name: "ipa" type: INNER_PRODUCT '
                    'bottom: "data" top: "ipa" param { num_output: 6 } }',
@@ -354,6 +354,9 @@ class TestTransparency:
             got = api.build(graph, pipeline=shared)
             private_pipe = BuildPipeline()
             want = api.build(graph, pipeline=private_pipe)
+            # The fold schedule follows the declaration order too.
+            assert [p.layer for p in got.design.folding] == [
+                p.layer for p in want.design.folding]
             assert got.weights.keys() == want.weights.keys()
             for layer, tensors in want.weights.items():
                 assert got.weights[layer].keys() == tensors.keys()

@@ -1,7 +1,5 @@
 """Tests for the control-program verifier."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,8 +158,7 @@ class TestReplayOncePerShape:
         # Row ``index`` is not clocked: the row ``first`` of its shape
         # is.  Move it so only its last rows cross the DRAM top.
         reach = max(table[first].expand()) - table[first].start_address
-        table[index] = dataclasses.replace(
-            table[index], start_address=top - reach)
+        table[index] = table[index].rebased(top - reach)
         report = verify_program(program)
         assert not report.ok
         assert report.errors == [
