@@ -1,15 +1,19 @@
 """Control-program analysis (pass "control").
 
-The coordinator FSM is a linear chain: state ``i`` hands over to state
-``i+1`` and the final state terminates the propagation.  The pass
-proves reachability and termination of that chain and the bijection
-between fold phases and FSM states — with no replay:
+The coordinator FSM is a linear chain: state ``i`` — the state at
+position ``i`` of :attr:`CoordinatorProgram.states` — hands over to
+state ``i+1`` and the final state terminates the propagation, so every
+state of a non-empty program is reachable.  The pass proves termination
+of that chain and the bijection between fold phases and FSM states, and
+checks each state's pattern ranges against the word counts of its own
+address plan — with no replay:
 
-* ``ctl.state-order`` (ERROR) — state indices are not the contiguous
-  ``0..n-1`` chain, so some state is unreachable (or visited twice);
+* ``ctl.state-order`` (ERROR) — the FSM has no states, so nothing ever
+  executes;
 * ``ctl.fold-unscheduled`` (ERROR) — a fold phase has no FSM state;
 * ``ctl.fold-duplicate`` (ERROR) — a fold phase is scheduled twice;
-* ``ctl.orphan-state`` (ERROR) — a state executes no known fold;
+* ``ctl.orphan-state`` (ERROR) — a state executes a fold the design
+  never planned;
 * ``ctl.event-collision`` (ERROR) — two states share a trigger event;
 * ``ctl.partial-not-flushed`` (ERROR) — a layer's last fold still holds
   partial sums (the accumulators would never flush);
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from repro.analysis.report import Finding, Severity
 from repro.compiler.program import ControlProgram
-from repro.errors import DeepBurningError
+from repro.nngen.design import FoldPhase
 
 
 class _ControlPass:
@@ -43,25 +47,14 @@ class _ControlPass:
                                      details=details))
 
     def _check_chain(self) -> None:
-        states = self.coordinator.states
-        if not states:
+        if not self.coordinator.states:
             self._emit("ctl.state-order", Severity.ERROR, "coordinator",
                        "the FSM has no states; nothing ever executes")
-            return
-        for position, state in enumerate(states):
-            if state.index != position:
-                self._emit(
-                    "ctl.state-order", Severity.ERROR,
-                    f"state {state.index} ({state.event})",
-                    f"state at chain position {position} declares index "
-                    f"{state.index}; the linear FSM never reaches it",
-                    position=position, index=state.index,
-                )
 
     def _check_folds(self) -> None:
         scheduled: dict[tuple[str, int], int] = {}
         for state in self.coordinator.states:
-            key = (state.layer, state.phase_index)
+            key = (state.phase.layer, state.phase.phase_index)
             scheduled[key] = scheduled.get(key, 0) + 1
         folds = {(phase.layer, phase.phase_index)
                  for phase in self.program.design.folding}
@@ -91,27 +84,27 @@ class _ControlPass:
 
     def _check_events(self) -> None:
         seen: dict[str, int] = {}
-        for state in self.coordinator.states:
+        for index, state in enumerate(self.coordinator.states):
             if state.event in seen:
                 self._emit(
                     "ctl.event-collision", Severity.ERROR,
-                    f"state {state.index}",
+                    f"state {index}",
                     f"trigger event '{state.event}' already fires state "
                     f"{seen[state.event]}",
                     event=state.event,
                 )
             else:
-                seen[state.event] = state.index
+                seen[state.event] = index
 
     def _check_termination(self) -> None:
-        last_state_of_layer: dict[str, object] = {}
+        last_phase_of_layer: dict[str, FoldPhase] = {}
         for state in self.coordinator.states:
-            last_state_of_layer[state.layer] = state
-        for layer, state in last_state_of_layer.items():
-            if state.accumulate_hold:
+            last_phase_of_layer[state.phase.layer] = state.phase
+        for layer, phase in last_phase_of_layer.items():
+            if phase.partial:
                 self._emit(
                     "ctl.partial-not-flushed", Severity.ERROR,
-                    f"{layer}#{state.phase_index}",
+                    f"{layer}#{phase.phase_index}",
                     "the layer's final fold still holds partial sums; the "
                     "accumulators never flush and the output is never "
                     "written",
@@ -124,11 +117,10 @@ class _ControlPass:
             "weight": self.coordinator.weight_table,
         }
         uses: dict[str, dict[int, int]] = {name: {} for name in tables}
-        for state in self.coordinator.states:
-            where = f"state {state.index} ({state.event})"
-            for name, ids in (("main", state.main_patterns),
-                              ("data", state.data_patterns),
-                              ("weight", state.weight_patterns)):
+        for index, state in enumerate(self.coordinator.states):
+            where = f"state {index} ({state.event})"
+            for name, ids in (("main", state.main), ("data", state.data),
+                              ("weight", state.weight)):
                 table = tables[name]
                 for pattern_id in ids:
                     if not 0 <= pattern_id < len(table):
@@ -162,22 +154,12 @@ class _ControlPass:
     def _check_traffic_and_routes(self) -> None:
         components = self.program.design.components
         tables = self.coordinator
-        plan_for = self.program.plan_lookup()
-        for state in tables.states:
-            where = f"state {state.index} ({state.event})"
-            try:
-                plan = plan_for(state.layer, state.phase_index)
-            except DeepBurningError:
-                self._emit(
-                    "ctl.orphan-state", Severity.ERROR, where,
-                    f"no address plan exists for fold "
-                    f"{state.layer}#{state.phase_index}",
-                )
-                continue
+        for index, state in enumerate(tables.states):
+            where = f"state {index} ({state.event})"
             main_words = sum(
-                tables.main_table[i].footprint for i in state.main_patterns
+                tables.main_table[i].footprint for i in state.main
                 if 0 <= i < len(tables.main_table))
-            declared = plan.dram_read_words() + plan.dram_write_words()
+            declared = state.read_words + state.write_words
             if main_words != declared:
                 self._emit(
                     "ctl.traffic-mismatch", Severity.ERROR, where,
@@ -186,13 +168,12 @@ class _ControlPass:
                     moved=main_words, declared=declared, table="main",
                 )
             replay_words = sum(
-                tables.data_table[i].footprint for i in state.data_patterns
+                tables.data_table[i].footprint for i in state.data
                 if 0 <= i < len(tables.data_table))
             replay_words += sum(
-                tables.weight_table[i].footprint
-                for i in state.weight_patterns
+                tables.weight_table[i].footprint for i in state.weight
                 if 0 <= i < len(tables.weight_table))
-            declared_replay = plan.buffer_read_words()
+            declared_replay = state.replay_words
             if replay_words != declared_replay:
                 self._emit(
                     "ctl.traffic-mismatch", Severity.ERROR, where,

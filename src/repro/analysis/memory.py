@@ -35,6 +35,7 @@ absolute placement the buffer controller owns.
 from __future__ import annotations
 
 from repro.analysis.report import Finding, Severity
+from repro.compiler.control import CoordinatorState
 from repro.compiler.patterns import AccessPattern
 from repro.compiler.program import ControlProgram
 from repro.frontend.layers import LayerKind
@@ -114,7 +115,7 @@ class _MemoryPass:
 
     def _check_main_table(self) -> None:
         # The coordinator's main table is what the hardware AGU actually
-        # replays, and every plan's main flows are rows of it; bound each
+        # replays, and every state's main rows are rows of it; bound each
         # row against DRAM here, once (the dynamic checker enforces the
         # same invariant by replay).
         total = self.memory_map.total_elements
@@ -140,9 +141,9 @@ class _MemoryPass:
                 return name
         return None
 
-    def _check_plan(self, plan) -> None:
-        spec = self.resolved.layer(plan.phase.layer)
-        where = plan.event or f"{spec.name}#{plan.phase.phase_index}"
+    def _check_state(self, state: CoordinatorState) -> None:
+        spec = self.resolved.layer(state.phase.layer)
+        where = state.event or f"{spec.name}#{state.phase.phase_index}"
         total = self.memory_map.total_elements
         # Recurrent state is read from the output region, so feature
         # reads may legally touch both sides of the layer.
@@ -150,10 +151,11 @@ class _MemoryPass:
         read_spans: list[tuple[int, int]] = []
         write_spans: list[tuple[int, int]] = []
 
+        main = self.program.coordinator.main_table
         for group, patterns in (
-            ("feature read", plan.main_feature_reads),
-            ("weight read", plan.main_weight_reads),
-            ("write", plan.main_writes),
+            ("feature read", main[state.main.start:state.weight_reads_at]),
+            ("weight read", main[state.weight_reads_at:state.writes_at]),
+            ("write", main[state.writes_at:state.main.stop]),
         ):
             for pattern in patterns:
                 span = pattern_span(pattern)
@@ -255,11 +257,11 @@ class _MemoryPass:
             design.feature_buffer, design.datapath.data_width)
         weight_capacity = self._buffer_capacity(
             design.weight_buffer, design.datapath.weight_width)
-        for plan in self.program.address_plans:
-            phase = plan.phase
+        for state in self.program.coordinator.states:
+            phase = state.phase
             if phase.kind not in _BUFFERED_KINDS:
                 continue  # streamed through the datapath, never staged
-            where = plan.event or f"{phase.layer}#{phase.phase_index}"
+            where = state.event or f"{phase.layer}#{phase.phase_index}"
             staged = phase.input_words + phase.output_words
             if feature_capacity is not None and staged > feature_capacity:
                 self._emit(
@@ -283,14 +285,15 @@ class _MemoryPass:
     def run(self) -> list[Finding]:
         self._check_regions()
         self._check_main_table()
-        for plan in self.program.address_plans:
-            self._check_plan(plan)
+        states = self.program.coordinator.states
+        for state in states:
+            self._check_state(state)
         self._check_buffers()
         if not self.findings:
             self.findings.append(Finding(
                 rule="mem.proof", severity=Severity.INFO, where="memmap",
                 message=(
-                    f"{len(self.program.address_plans)} fold plans proved "
+                    f"{len(states)} fold plans proved "
                     f"in bounds over {len(self.feature_spans)} feature and "
                     f"{len(self.weight_spans)} weight regions"),
             ))

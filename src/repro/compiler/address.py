@@ -10,11 +10,14 @@ A design sweep compiles every candidate design, so this is the hot path
 of design-space exploration.  :class:`AddressFlowGenerator` therefore
 resolves each layer's geometry once per design — feature layouts and
 bases, map and tile-row pitches, tile side, window words, position
-step, weight region, lanes and the ``layer{id}-fold`` event prefix —
-into a per-layer context, and the per-fold code is arithmetic over that
+step, weight region, lanes, the ``layer{id}-fold`` event prefix and the
+connection-box route — into a per-layer context, and the per-fold code is arithmetic over that
 context and the :class:`~repro.nngen.design.FoldPhase` fields.  Each
-fold's rows go straight into the program's :class:`PatternTables`, and
-the fold's word counts are summed as the rows are made.
+fold's rows go straight into the pattern tables of the
+:class:`~repro.compiler.control.CoordinatorProgram`, the fold's word
+counts are summed as the rows are made, and the fold's
+:class:`~repro.compiler.control.CoordinatorState` — its address plan —
+is built from them in one positional call.
 
 :func:`compress_stream` is the other road into the same form: the
 :func:`~repro.compiler.patterns.infer_patterns` analyzer over a raw
@@ -23,9 +26,13 @@ address stream (the paper's generalization step).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.compiler.control import (
+    CoordinatorProgram,
+    CoordinatorState,
+    route_for_phase,
+)
 from repro.compiler.layout import FeatureLayout, WeightLayout
 from repro.compiler.memmap import MemoryMap
 from repro.compiler.patterns import AccessPattern, infer_patterns
@@ -36,107 +43,6 @@ from repro.nngen.design import AcceleratorDesign, FoldPhase
 #: Layers whose folds are dense matrix-vector blocks.
 _DENSE_KINDS = frozenset({LayerKind.INNER_PRODUCT, LayerKind.RECURRENT,
                           LayerKind.ASSOCIATIVE})
-
-
-class PatternTables:
-    """The three coordinator pattern tables: the one pattern store.
-
-    :class:`AddressFlowGenerator` appends every fold's flows here, fold
-    by fold; each :class:`PhaseAddressPlan` and each coordinator state
-    records integer index ranges into these lists, so a compiled
-    program holds each :class:`AccessPattern` once.
-    """
-
-    __slots__ = ("main", "data", "weight")
-
-    def __init__(self) -> None:
-        #: Main AGU (DRAM <-> buffers): per fold, feature reads, weight
-        #: reads, then writes.
-        self.main: list[AccessPattern] = []
-        #: Data AGU (feature buffer -> datapath).
-        self.data: list[AccessPattern] = []
-        #: Weight AGU (weight buffer -> datapath).
-        self.weight: list[AccessPattern] = []
-
-
-class TableSlice(Sequence[AccessPattern]):
-    """A read-only view of ``table[ids.start:ids.stop]`` that copies
-    nothing; it reads the table on every access."""
-
-    __slots__ = ("_table", "_ids")
-
-    def __init__(self, table: list[AccessPattern], ids: range) -> None:
-        self._table = table
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TableSlice(self._table, self._ids[index])
-        return self._table[self._ids[index]]
-
-    def __iter__(self) -> Iterator[AccessPattern]:
-        return map(self._table.__getitem__, self._ids)
-
-
-@dataclass
-class PhaseAddressPlan:
-    """Compiled address flows of one fold phase, as index ranges into
-    the program's :class:`PatternTables`.
-
-    ``main`` covers the fold's main-AGU rows (feature reads, weight
-    reads, writes, split at ``weight_reads_at`` and ``writes_at``);
-    ``data`` and ``weight`` cover its buffer replays.  The flow
-    attributes are read-only views over those rows.  The word counts
-    are the traffic the compiler declared for the fold when it
-    generated the flows; the checkers compare the tables against them.
-    """
-
-    phase: FoldPhase
-    event: str
-    tables: PatternTables = field(repr=False, compare=False)
-    main: range
-    weight_reads_at: int
-    writes_at: int
-    data: range
-    weight: range
-    read_words: int
-    write_words: int
-    replay_words: int
-
-    @property
-    def main_feature_reads(self) -> TableSlice:
-        return TableSlice(self.tables.main,
-                          range(self.main.start, self.weight_reads_at))
-
-    @property
-    def main_weight_reads(self) -> TableSlice:
-        return TableSlice(self.tables.main,
-                          range(self.weight_reads_at, self.writes_at))
-
-    @property
-    def main_writes(self) -> TableSlice:
-        return TableSlice(self.tables.main,
-                          range(self.writes_at, self.main.stop))
-
-    @property
-    def data_reads(self) -> TableSlice:
-        return TableSlice(self.tables.data, self.data)
-
-    @property
-    def weight_reads(self) -> TableSlice:
-        return TableSlice(self.tables.weight, self.weight)
-
-    def dram_read_words(self) -> int:
-        return self.read_words
-
-    def dram_write_words(self) -> int:
-        return self.write_words
-
-    def buffer_read_words(self) -> int:
-        return self.replay_words
 
 
 @dataclass(frozen=True)
@@ -152,6 +58,8 @@ class _LayerContext:
     #: A fold's pre-defined trigger event is this prefix plus its phase
     #: index, e.g. ``layer0-fold0``.
     event_prefix: str
+    #: Connection-box route of every fold of the layer.
+    route: tuple[str, ...]
     lanes: int
     in_base: int = 0
     out_base: int = 0
@@ -184,11 +92,11 @@ def _pitches(layout: FeatureLayout) -> tuple[int, int]:
 
 
 class AddressFlowGenerator:
-    """Generates the address plans of every fold in a design.
+    """Generates the coordinator program of a design: one state per fold.
 
     Each layer's geometry is resolved once (:meth:`_context`); the
     per-fold methods are arithmetic over it and the fold's fields, and
-    append the fold's rows straight into the :class:`PatternTables`.
+    append the fold's rows straight into the program's pattern tables.
     """
 
     def __init__(self, design: AcceleratorDesign, memory_map: MemoryMap) -> None:
@@ -198,22 +106,27 @@ class AddressFlowGenerator:
         self.shapes = design.resolved.shapes
         self._layers: dict[str, _LayerContext] = {}
 
-    def plans(self) -> list[PhaseAddressPlan]:
-        """One plan per fold, in fold order, over one fresh
-        :class:`PatternTables` (every plan's ``tables``)."""
-        tables = PatternTables()
-        return [self._plan_phase(phase, tables)
-                for phase in self.design.folding]
+    def coordinator(self) -> CoordinatorProgram:
+        """One state per fold, in fold order, over fresh pattern tables."""
+        program = CoordinatorProgram()
+        states = program.states
+        for phase in self.design.folding:
+            states.append(self._state(phase, program))
+        if not states:
+            raise CompileError("network produced no control states")
+        return program
 
     # ------------------------------------------------------------------
 
-    def _context(self, layer: str) -> _LayerContext:
+    def _context(self, phase: FoldPhase) -> _LayerContext:
+        layer = phase.layer
         context = self._layers.get(layer)
         if context is not None:
             return context
         memory_map = self.memory_map
         spec = self.resolved.layer(layer)
         prefix = f"layer{self.resolved.ids[spec.name]}-fold"
+        route = route_for_phase(self.design, phase)
         lanes = self.design.datapath.lanes
         if spec.kind.is_convolution:
             blob_in, blob_out = spec.bottoms[0], spec.tops[0]
@@ -233,7 +146,7 @@ class AddressFlowGenerator:
                 window_words = k * k
                 position_step = spec.stride
             context = _LayerContext(
-                spec, prefix, lanes,
+                spec, prefix, route, lanes,
                 in_base=memory_map.feature_base(blob_in),
                 out_base=memory_map.feature_base(blob_out),
                 weights=memory_map.weights(spec.name),
@@ -250,7 +163,7 @@ class AddressFlowGenerator:
             )
         elif spec.kind in _DENSE_KINDS:
             context = _LayerContext(
-                spec, prefix, lanes,
+                spec, prefix, route, lanes,
                 in_base=memory_map.feature_base(spec.bottoms[0]),
                 out_base=memory_map.feature_base(spec.tops[0]),
                 weights=memory_map.weights(spec.name),
@@ -258,7 +171,7 @@ class AddressFlowGenerator:
             )
         else:
             context = _LayerContext(
-                spec, prefix, lanes,
+                spec, prefix, route, lanes,
                 in_base=memory_map.feature_base(spec.bottoms[0])
                 if spec.bottoms else 0,
                 out_base=memory_map.feature_base(spec.tops[0])
@@ -271,11 +184,12 @@ class AddressFlowGenerator:
         self._layers[layer] = context
         return context
 
-    def _plan_phase(self, phase: FoldPhase,
-                    tables: PatternTables) -> PhaseAddressPlan:
-        context = self._context(phase.layer)
+    def _state(self, phase: FoldPhase,
+               program: CoordinatorProgram) -> CoordinatorState:
+        context = self._context(phase)
         event = f"{context.event_prefix}{phase.phase_index}"
-        main, data, weight = tables.main, tables.data, tables.weight
+        main, data, weight = (program.main_table, program.data_table,
+                              program.weight_table)
         main_start, data_start, weight_start = len(main), len(data), len(weight)
         kind = context.spec.kind
         if kind.is_convolution:
@@ -285,33 +199,25 @@ class AddressFlowGenerator:
         else:
             flows = self._streaming_flows
         weight_reads_at, writes_at, read_words, write_words, replay_words = \
-            flows(context, phase, event, tables)
-        return PhaseAddressPlan(
-            phase=phase,
-            event=event,
-            tables=tables,
-            main=range(main_start, len(main)),
-            weight_reads_at=weight_reads_at,
-            writes_at=writes_at,
-            data=range(data_start, len(data)),
-            weight=range(weight_start, len(weight)),
-            read_words=read_words,
-            write_words=write_words,
-            replay_words=replay_words,
-        )
+            flows(context, phase, event, program)
+        return CoordinatorState(
+            phase, event, context.route, range(main_start, len(main)),
+            weight_reads_at, writes_at, range(data_start, len(data)),
+            range(weight_start, len(weight)), read_words, write_words,
+            replay_words)
 
-    # Each ``*_flows`` method appends one fold's rows to the tables (main
-    # table: feature reads, weight reads, then writes) and returns
-    # ``(weight_reads_at, writes_at, read_words, write_words,
-    # replay_words)``: the main-table split points and the words the
-    # rows sweep (``x_length * y_length`` each).
+    # Each ``*_flows`` method appends one fold's rows to the program's
+    # pattern tables (main table: feature reads, weight reads, then
+    # writes) and returns ``(weight_reads_at, writes_at, read_words,
+    # write_words, replay_words)``: the main-table split points and the
+    # words the rows sweep (``x_length * y_length`` each).
 
     # -- dense layers ---------------------------------------------------
 
     def _dense_flows(self, context: _LayerContext, phase: FoldPhase,
-                     event: str, tables: PatternTables
+                     event: str, program: CoordinatorProgram
                      ) -> tuple[int, int, int, int, int]:
-        main = tables.main
+        main = program.main_table
         weights = context.weights
         assert weights is not None
         depth = phase.in_count
@@ -349,12 +255,12 @@ class AddressFlowGenerator:
             write_words = outputs
         # Data AGU: replay the input slice once per lane wave.
         waves = -(-outputs // context.lanes)
-        tables.data.append(AccessPattern(
+        program.data_table.append(AccessPattern(
             start_address=0, x_length=depth, y_length=waves, offset=0,
             event=event,
         ))
         # Weight AGU: stream the block in consumption order.
-        tables.weight.append(AccessPattern(
+        program.weight_table.append(AccessPattern(
             start_address=0, x_length=depth, y_length=outputs, offset=depth,
             event=event,
         ))
@@ -364,12 +270,12 @@ class AddressFlowGenerator:
     # -- convolution layers ----------------------------------------------
 
     def _conv_flows(self, context: _LayerContext, phase: FoldPhase,
-                    event: str, tables: PatternTables
+                    event: str, program: CoordinatorProgram
                     ) -> tuple[int, int, int, int, int]:
         # Nearly every fold of a CNN sweep lands here, so the rows are
         # built positionally: (start_address, x_length, stride, y_length,
         # offset, event).
-        main = tables.main
+        main = program.main_table
         weights = context.weights
         assert weights is not None
         channels = max(1, phase.out_ch_count)
@@ -413,12 +319,12 @@ class AddressFlowGenerator:
         # Data AGU: one window sweep per output position.
         window = context.window_words * depth
         positions = max(1, phase.row_count * context.out_width)
-        tables.data.append(AccessPattern(
+        program.data_table.append(AccessPattern(
             0, window, 1, positions, context.position_step, event))
         # Weight AGU: the kernel slice of each output channel streams once
         # per position wave (lanes cover the channel chunk in parallel).
         waves = max(1, min(phase.out_ch_count, context.lanes))
-        tables.weight.append(AccessPattern(
+        program.weight_table.append(AccessPattern(
             0, slice_depth, 1, waves, slice_depth, event))
         return (weight_reads_at, writes_at, read_words, write_words,
                 window * positions + slice_depth * waves)
@@ -426,9 +332,9 @@ class AddressFlowGenerator:
     # -- streaming layers -------------------------------------------------
 
     def _streaming_flows(self, context: _LayerContext, phase: FoldPhase,
-                         event: str, tables: PatternTables
+                         event: str, program: CoordinatorProgram
                          ) -> tuple[int, int, int, int, int]:
-        main, data = tables.main, tables.data
+        main, data = program.main_table, program.data_table
         spec = context.spec
         read_words = write_words = 0
         if spec.kind is LayerKind.ELTWISE:

@@ -8,7 +8,6 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.compiler.address import AddressFlowGenerator
-from repro.compiler.control import build_coordinator_program
 from repro.compiler.lut import (
     build_lut,
     lut_range_for_activation,
@@ -49,9 +48,7 @@ class DeepBurningCompiler:
         calibration_inputs: list[np.ndarray] | None = None,
     ) -> ControlProgram:
         memory_map = build_memory_map(design.resolved, design.datapath.simd)
-        generator = AddressFlowGenerator(design, memory_map)
-        plans = generator.plans()
-        coordinator = build_coordinator_program(design, plans)
+        coordinator = AddressFlowGenerator(design, memory_map).coordinator()
         # With the pattern tables fixed, reduce the template AGUs to the
         # fields and table depth the network actually exercises.
         reduce_agus(design, coordinator)
@@ -68,7 +65,6 @@ class DeepBurningCompiler:
             design=design,
             memory_map=memory_map,
             coordinator=coordinator,
-            address_plans=plans,
             blob_formats=blob_formats,
             weight_format=weight_format,
             luts=luts,

@@ -2,17 +2,20 @@
 
 "The configuration signals are generated in time by the FSM-based
 coordinator.  The FSMs are also created by the NN-Gen compiler" (paper
-§3.3).  A :class:`ControlState` is one FSM state: the fold it executes,
-the producer→consumer reconnection of the connection box, the AGU
-pattern selections, and the trigger event recorded in the context
-buffer.
+§3.3).  A :class:`CoordinatorState` is one FSM state: the fold it
+executes, the trigger event recorded in the context buffer, the
+producer→consumer reconnection of the connection box, and the fold's
+address plan — the AGU pattern rows it selects and the words they move.
+:class:`~repro.compiler.address.AddressFlowGenerator` builds each state
+as it appends the fold's rows to the pattern tables; the route comes
+from :func:`route_for_phase`, once per layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.compiler.address import PatternTables, PhaseAddressPlan
 from repro.compiler.patterns import AccessPattern
 from repro.errors import CompileError
 from repro.frontend.layers import LayerKind
@@ -40,51 +43,56 @@ KIND_ROUTES: dict[LayerKind, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ControlState:
-    """One coordinator FSM state (one fold phase)."""
+class CoordinatorState(NamedTuple):
+    """One coordinator FSM state: one fold and its compiled address plan.
 
-    index: int
-    layer: str
-    phase_index: int
+    ``main`` covers the fold's main-table rows (feature reads, weight
+    reads, then writes, split at ``weight_reads_at`` and ``writes_at``);
+    ``data`` and ``weight`` cover its buffer replays.  The word counts
+    are the traffic the compiler declared for the fold as it generated
+    the rows; the checkers compare the tables against them.  The layer,
+    phase index and accumulator hold (``phase.partial``) are read from
+    ``phase``, and a state's index is its position in
+    :attr:`CoordinatorProgram.states`.
+    """
+
+    phase: FoldPhase
+    #: Pre-defined trigger event recorded in the context buffer.
     event: str
     #: Ordered producer→consumer chain of functional block instances.
     route: tuple[str, ...]
-    #: AGU pattern table indices selected in this state: its address
-    #: plan's ranges over the shared tables.
-    main_patterns: range
-    data_patterns: range
-    weight_patterns: range
-    #: Whether the accumulators must hold (partial fold) or flush.
-    accumulate_hold: bool = False
+    main: range
+    weight_reads_at: int
+    writes_at: int
+    data: range
+    weight: range
+    read_words: int
+    write_words: int
+    replay_words: int
 
 
 @dataclass
 class CoordinatorProgram:
-    """The complete FSM program plus the shared pattern tables."""
+    """The complete FSM program: one state per fold, in fold order, and
+    the three AGU pattern tables their ranges index.
 
-    states: list[ControlState]
-    #: The AGU pattern tables the states and the address plans index.
-    tables: PatternTables
+    The tables are the one pattern store: each compiled
+    :class:`AccessPattern` is held once, and a reader slices a table by
+    a state's ranges.
+    """
 
-    @property
-    def main_table(self) -> list[AccessPattern]:
-        return self.tables.main
-
-    @property
-    def data_table(self) -> list[AccessPattern]:
-        return self.tables.data
-
-    @property
-    def weight_table(self) -> list[AccessPattern]:
-        return self.tables.weight
+    states: list[CoordinatorState] = field(default_factory=list)
+    #: Main AGU (DRAM <-> buffers): per fold, feature reads, weight
+    #: reads, then writes.
+    main_table: list[AccessPattern] = field(default_factory=list)
+    #: Data AGU (feature buffer -> datapath).
+    data_table: list[AccessPattern] = field(default_factory=list)
+    #: Weight AGU (weight buffer -> datapath).
+    weight_table: list[AccessPattern] = field(default_factory=list)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def events(self) -> list[str]:
-        return [state.event for state in self.states]
 
 
 def route_for_phase(design: AcceleratorDesign, phase: FoldPhase) -> tuple[str, ...]:
@@ -99,35 +107,3 @@ def route_for_phase(design: AcceleratorDesign, phase: FoldPhase) -> tuple[str, .
             f"#{phase.phase_index} exist in the design"
         )
     return present
-
-
-def build_coordinator_program(
-        design: AcceleratorDesign,
-        plans: list[PhaseAddressPlan]) -> CoordinatorProgram:
-    """Assemble the FSM program from the per-phase address plans.
-
-    The plans come from one :meth:`AddressFlowGenerator.plans` call, so
-    they share one :class:`PatternTables`; each state selects its plan's
-    index ranges in it.
-    """
-    if not plans:
-        raise CompileError("network produced no control states")
-    routes: dict[LayerKind, tuple[str, ...]] = {}
-    states = []
-    for index, plan in enumerate(plans):
-        phase = plan.phase
-        route = routes.get(phase.kind)
-        if route is None:
-            route = routes[phase.kind] = route_for_phase(design, phase)
-        states.append(ControlState(
-            index=index,
-            layer=phase.layer,
-            phase_index=phase.phase_index,
-            event=plan.event,
-            route=route,
-            main_patterns=plan.main,
-            data_patterns=plan.data,
-            weight_patterns=plan.weight,
-            accumulate_hold=phase.partial,
-        ))
-    return CoordinatorProgram(states=states, tables=plans[0].tables)

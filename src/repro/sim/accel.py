@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.compiler.address import PhaseAddressPlan
+from repro.compiler.control import CoordinatorState
 from repro.compiler.program import ControlProgram
 from repro.errors import SimulationError
 from repro.nngen.design import AcceleratorDesign, FoldPhase
@@ -172,15 +172,15 @@ def pipeline_timing(
     return int(round(compute_finish)), traces, energy_model
 
 
-def plan_traffic(plan: PhaseAddressPlan) -> PhaseTraffic:
-    """The traffic a compiled phase's address patterns move: one burst
-    per main-AGU pattern.  It reads the plan's recorded word counts and
+def state_traffic(state: CoordinatorState) -> PhaseTraffic:
+    """The traffic a compiled fold's address patterns move: one burst
+    per main-AGU pattern.  It reads the state's recorded word counts and
     row range, so it builds nothing but the result."""
     return PhaseTraffic(
-        dram_read_words=plan.dram_read_words(),
-        dram_write_words=plan.dram_write_words(),
-        bursts=len(plan.main),
-        sram_read_words=plan.buffer_read_words(),
+        dram_read_words=state.read_words,
+        dram_write_words=state.write_words,
+        bursts=len(state.main),
+        sram_read_words=state.replay_words,
     )
 
 
@@ -217,8 +217,8 @@ class AcceleratorSimulator:
         if self._timing_cache is None:
             self._timing_cache = pipeline_timing(
                 self.design,
-                [(plan.phase, plan_traffic(plan))
-                 for plan in self.program.address_plans])
+                [(state.phase, state_traffic(state))
+                 for state in self.program.coordinator.states])
         return self._timing_cache
 
     def _functional_executor(self, batched: bool = False) -> QuantizedExecutor:

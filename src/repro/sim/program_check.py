@@ -106,28 +106,25 @@ def verify_program(program: ControlProgram) -> ProgramCheckReport:
 
     # Per-state cross-checks: selected patterns exist and their word
     # counts match the fold's declared traffic.
-    plan_for = program.plan_lookup()
-    for state in program.coordinator.states:
+    coordinator = program.coordinator
+    main_table = coordinator.main_table
+    for index, state in enumerate(coordinator.states):
         report.states_checked += 1
-        plan = plan_for(state.layer, state.phase_index)
-        main_words = sum(
-            program.coordinator.main_table[i].footprint
-            for i in state.main_patterns
-        )
-        declared = plan.dram_read_words() + plan.dram_write_words()
+        main_words = sum(main_table[i].footprint for i in state.main
+                         if 0 <= i < len(main_table))
+        declared = state.read_words + state.write_words
         if main_words != declared:
             report.errors.append(
-                f"state {state.index} ({state.event}): main patterns move "
+                f"state {index} ({state.event}): main patterns move "
                 f"{main_words} words, the fold declares {declared}"
             )
-        for table, ids in (
-            (program.coordinator.data_table, state.data_patterns),
-            (program.coordinator.weight_table, state.weight_patterns),
-        ):
+        for table, ids in ((main_table, state.main),
+                           (coordinator.data_table, state.data),
+                           (coordinator.weight_table, state.weight)):
             for pattern_id in ids:
                 if not 0 <= pattern_id < len(table):
                     report.errors.append(
-                        f"state {state.index}: pattern id {pattern_id} "
+                        f"state {index}: pattern id {pattern_id} "
                         f"outside its table"
                     )
     return report

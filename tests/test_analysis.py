@@ -2,9 +2,10 @@
 deliberately-broken design per analysis pass.
 
 Each pass must catch its own class of defect: a narrowed accumulator
-(range), an out-of-bounds AGU pattern (memory), an unreachable FSM
-state (control) and a dangling blob (lint).  The clean builds of the
-zoo networks are covered by ``tests/test_analysis_zoo.py``.
+(range), an out-of-bounds AGU pattern (memory), an empty FSM and one
+tampered coordinator program per control rule (control) and a dangling
+blob (lint).  The clean builds of the zoo networks are covered by
+``tests/test_analysis_zoo.py``.
 """
 
 import dataclasses
@@ -52,6 +53,42 @@ def build_small():
     in place, which must never reach the shared memoized stage cache.
     """
     return api.build(benchmark_graph("ann0"), pipeline=BuildPipeline())
+
+
+def _replace_first_state(coordinator, **fields):
+    coordinator.states[0] = coordinator.states[0]._replace(**fields)
+
+
+#: One tamper of a fresh build per control rule: the rule, the severity
+#: it must be reported at, and the edit of the coordinator program.
+CONTROL_TAMPERS = [
+    ("ctl.fold-unscheduled", Severity.ERROR,
+     lambda coordinator: coordinator.states.pop()),
+    ("ctl.orphan-state", Severity.ERROR,
+     lambda coordinator: _replace_first_state(
+         coordinator, phase=dataclasses.replace(
+             coordinator.states[0].phase, phase_index=999))),
+    ("ctl.fold-duplicate", Severity.ERROR,
+     lambda coordinator: coordinator.states.append(
+         coordinator.states[0])),
+    ("ctl.event-collision", Severity.ERROR,
+     lambda coordinator: coordinator.states.append(
+         coordinator.states[0])),
+    ("ctl.pattern-id", Severity.ERROR,
+     lambda coordinator: _replace_first_state(
+         coordinator, main=range(len(coordinator.main_table),
+                                 len(coordinator.main_table) + 2))),
+    ("ctl.pattern-unused", Severity.WARNING,
+     lambda coordinator: coordinator.data_table.append(
+         AccessPattern(start_address=0, x_length=1))),
+    ("ctl.traffic-mismatch", Severity.ERROR,
+     lambda coordinator: _replace_first_state(
+         coordinator, read_words=coordinator.states[0].read_words + 1)),
+    ("ctl.route-missing", Severity.ERROR,
+     lambda coordinator: _replace_first_state(
+         coordinator,
+         route=coordinator.states[0].route + ("ghost_block",))),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +276,11 @@ class TestBrokenDesigns:
         artifacts = build_small()
         program = artifacts.program
         total = program.memory_map.total_elements
-        plan = next(p for p in program.address_plans if p.main_feature_reads)
-        # Plans are read-only views: tamper through the table they index.
+        state = next(s for s in program.coordinator.states
+                     if s.weight_reads_at > s.main.start)
+        # States hold index ranges: tamper through the table they index.
         table = program.coordinator.main_table
-        table[plan.main.start] = plan.main_feature_reads[0].rebased(
-            total + 7)
+        table[state.main.start] = table[state.main.start].rebased(total + 7)
         report = verify_artifacts(artifacts)
         oob = report.by_rule("mem.dram-oob")
         assert oob and oob[0].severity is Severity.ERROR
@@ -260,10 +297,12 @@ class TestBrokenDesigns:
         assert not verify_program(program).ok
 
     def test_control_unreachable_state(self):
+        # A state's index is its list position, so the one unreachable
+        # FSM left to detect is an empty one.
         artifacts = build_small()
         states = artifacts.program.coordinator.states
         assert len(states) > 1
-        states[1] = dataclasses.replace(states[1], index=len(states) + 5)
+        states.clear()
         report = verify_artifacts(artifacts)
         order = report.by_rule("ctl.state-order")
         assert order and order[0].severity is Severity.ERROR
@@ -272,9 +311,19 @@ class TestBrokenDesigns:
         artifacts = build_small()
         states = artifacts.program.coordinator.states
         for index, state in enumerate(states):
-            states[index] = dataclasses.replace(state, accumulate_hold=True)
+            states[index] = state._replace(
+                phase=dataclasses.replace(state.phase, partial=True))
         report = analyze(artifacts.program, passes=("control",))
         assert report.by_rule("ctl.partial-not-flushed")
+
+    @pytest.mark.parametrize("rule, severity, tamper", CONTROL_TAMPERS,
+                             ids=[rule for rule, _, _ in CONTROL_TAMPERS])
+    def test_control_tampered_program(self, rule, severity, tamper):
+        artifacts = build_small()
+        tamper(artifacts.program.coordinator)
+        report = analyze(artifacts.program, passes=("control",))
+        found = report.by_rule(rule)
+        assert found and all(f.severity is severity for f in found)
 
     def test_lint_dangling_blob(self):
         graph = NetworkGraph(name="broken", layers=[

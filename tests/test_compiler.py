@@ -1,7 +1,5 @@
 """Integration tests for the DeepBurning compiler pipeline."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.compiler.address import (
     compress_stream,
     dense_reference_stream,
 )
-from repro.compiler.control import build_coordinator_program
 from repro.compiler.memmap import build_memory_map
 from repro.compiler.patterns import expand_patterns
 from repro.devices import Z7020, Z7045, budget_fraction
@@ -91,78 +88,82 @@ class TestMemoryMap:
             memory_map.feature_base("ghost")
 
 
+def feature_reads(coordinator, state):
+    return coordinator.main_table[state.main.start:state.weight_reads_at]
+
+
+def weight_reads(coordinator, state):
+    return coordinator.main_table[state.weight_reads_at:state.writes_at]
+
+
+def writes(coordinator, state):
+    return coordinator.main_table[state.writes_at:state.main.stop]
+
+
+def coordinator_for(design):
+    memory_map = build_memory_map(design.resolved, design.datapath.simd)
+    return memory_map, AddressFlowGenerator(design, memory_map).coordinator()
+
+
 class TestAddressPlans:
     def test_every_phase_has_plan(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        assert len(plans) == len(cnn_design.folding)
+        _, coordinator = coordinator_for(cnn_design)
+        assert len(coordinator.states) == len(cnn_design.folding)
 
     def test_dense_weight_pattern_matches_reference(self, mlp_design):
-        memory_map = build_memory_map(mlp_design.resolved,
-                                      mlp_design.datapath.simd)
-        plans = AddressFlowGenerator(mlp_design, memory_map).plans()
+        memory_map, coordinator = coordinator_for(mlp_design)
         weights = memory_map.weights("ip1")
-        for plan in plans:
-            if plan.phase.layer != "ip1":
+        for state in coordinator.states:
+            if state.phase.layer != "ip1":
                 continue
-            phase = plan.phase
+            phase = state.phase
             expected = dense_reference_stream(
                 weights.base_address, weights.depth,
                 phase.out_start, phase.out_count,
                 phase.in_start, phase.in_count,
             )
-            got = expand_patterns(plan.main_weight_reads)
+            got = expand_patterns(weight_reads(coordinator, state))
             assert got == expected
 
     def test_dense_fetch_words_match_fold(self, mlp_design):
-        memory_map = build_memory_map(mlp_design.resolved,
-                                      mlp_design.datapath.simd)
-        plans = AddressFlowGenerator(mlp_design, memory_map).plans()
-        for plan in plans:
-            if plan.phase.kind.has_weights:
-                assert (sum(p.footprint for p in plan.main_weight_reads)
-                        == plan.phase.weight_words)
+        _, coordinator = coordinator_for(mlp_design)
+        for state in coordinator.states:
+            if state.phase.kind.has_weights:
+                assert (sum(p.footprint
+                            for p in weight_reads(coordinator, state))
+                        == state.phase.weight_words)
 
     def test_conv_feature_reads_in_region(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        for plan in plans:
-            if plan.phase.layer != "conv1":
+        memory_map, coordinator = coordinator_for(cnn_design)
+        for state in coordinator.states:
+            if state.phase.layer != "conv1":
                 continue
             base = memory_map.feature_base("data")
             layout = memory_map.feature_layout("data")
-            for pattern in plan.main_feature_reads:
+            for pattern in feature_reads(coordinator, state):
                 assert pattern.start_address >= base
                 assert pattern.max_address() < base + layout.total_elements
 
     def test_writes_target_output_region(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        for plan in plans:
-            if plan.phase.layer != "conv1" or plan.phase.partial:
+        memory_map, coordinator = coordinator_for(cnn_design)
+        for state in coordinator.states:
+            if state.phase.layer != "conv1" or state.phase.partial:
                 continue
             base = memory_map.feature_base("conv1")
             layout = memory_map.feature_layout("conv1")
-            for pattern in plan.main_writes:
+            for pattern in writes(coordinator, state):
                 assert pattern.start_address >= base
                 assert pattern.max_address() < base + layout.total_elements
 
     def test_partial_folds_do_not_write(self, mlp_design):
-        memory_map = build_memory_map(mlp_design.resolved,
-                                      mlp_design.datapath.simd)
-        plans = AddressFlowGenerator(mlp_design, memory_map).plans()
-        for plan in plans:
-            if plan.phase.partial:
-                assert not plan.main_writes
+        _, coordinator = coordinator_for(mlp_design)
+        for state in coordinator.states:
+            if state.phase.partial:
+                assert not writes(coordinator, state)
 
     def test_events_unique(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        events = [plan.event for plan in plans]
+        _, coordinator = coordinator_for(cnn_design)
+        events = [state.event for state in coordinator.states]
         assert len(events) == len(set(events))
 
     def test_compress_stream_roundtrip(self):
@@ -178,39 +179,23 @@ class TestAddressPlans:
 
 class TestCoordinatorProgram:
     def test_one_state_per_phase(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        program = build_coordinator_program(cnn_design, plans)
-        assert program.n_states == len(plans)
+        _, program = coordinator_for(cnn_design)
+        assert program.n_states == len(cnn_design.folding)
 
     def test_routes_use_existing_blocks(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        program = build_coordinator_program(cnn_design, plans)
+        _, program = coordinator_for(cnn_design)
         for state in program.states:
             for block in state.route:
                 assert block in cnn_design.components
 
-    def test_partial_folds_hold_accumulator(self, mlp_design):
-        compiler = DeepBurningCompiler()
-        program = compiler.compile(mlp_design)
-        for state in program.coordinator.states:
-            plan = program.plan_for(state.layer, state.phase_index)
-            assert state.accumulate_hold == plan.phase.partial
-
     def test_pattern_indices_valid(self, cnn_design):
-        memory_map = build_memory_map(cnn_design.resolved,
-                                      cnn_design.datapath.simd)
-        plans = AddressFlowGenerator(cnn_design, memory_map).plans()
-        program = build_coordinator_program(cnn_design, plans)
+        _, program = coordinator_for(cnn_design)
         for state in program.states:
-            for idx in state.main_patterns:
+            for idx in state.main:
                 assert 0 <= idx < len(program.main_table)
-            for idx in state.data_patterns:
+            for idx in state.data:
                 assert 0 <= idx < len(program.data_table)
-            for idx in state.weight_patterns:
+            for idx in state.weight:
                 assert 0 <= idx < len(program.weight_table)
 
 
@@ -257,61 +242,38 @@ class TestFullCompile:
         program = DeepBurningCompiler().compile(mlp_design)
         assert "control program" in program.summary()
 
-    def test_plan_lookup_missing(self, mlp_design):
-        program = DeepBurningCompiler().compile(mlp_design)
-        with pytest.raises(CompileError):
-            program.plan_for("nope", 0)
-        with pytest.raises(CompileError):
-            program.plan_lookup()("nope", 0)
-
-    def test_plan_lookup_matches_a_linear_scan(self, mlp_design):
-        program = DeepBurningCompiler().compile(mlp_design)
-        first = program.address_plans[0]
-        # A second plan for the same fold, listed later, never wins.
-        program.address_plans.append(copy.copy(first))
-        lookup = program.plan_lookup()
-        for plan in program.address_plans:
-            phase = plan.phase
-            want = next(p for p in program.address_plans
-                        if p.phase.layer == phase.layer
-                        and p.phase.phase_index == phase.phase_index)
-            assert lookup(phase.layer, phase.phase_index) is want
-        assert lookup(first.phase.layer, first.phase.phase_index) is first
-
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_plans_and_states_index_one_pattern_store(zoo_programs, name):
-    """The plans' flows, in fold order, are the three coordinator
-    tables, and every state selects exactly its plan's rows."""
+    """The states' rows, in fold order, are the three coordinator
+    tables, and every state's word counts are what its rows move."""
     for fraction in (0.05, 0.3, 1.0):
         program = zoo_programs[name, fraction]
         coordinator = program.coordinator
         main, data, weight = [], [], []
-        for plan in program.address_plans:
-            main += plan.main_feature_reads
-            main += plan.main_weight_reads
-            main += plan.main_writes
-            data += plan.data_reads
-            weight += plan.weight_reads
+        for state in coordinator.states:
+            main += feature_reads(coordinator, state)
+            main += weight_reads(coordinator, state)
+            main += writes(coordinator, state)
+            data += coordinator.data_table[state.data.start:state.data.stop]
+            weight += coordinator.weight_table[
+                state.weight.start:state.weight.stop]
         where = (name, fraction)
         assert main == coordinator.main_table, where
         assert data == coordinator.data_table, where
         assert weight == coordinator.weight_table, where
-        assert len(coordinator.states) == len(program.address_plans)
-        for state, plan in zip(coordinator.states, program.address_plans):
-            assert (state.layer, state.phase_index) == (
-                plan.phase.layer, plan.phase.phase_index), where
-            assert state.main_patterns == plan.main, where
-            assert state.data_patterns == plan.data, where
-            assert state.weight_patterns == plan.weight, where
-            assert plan.dram_read_words() == sum(
+        assert [state.phase for state in coordinator.states] == list(
+            program.design.folding), where
+        for state in coordinator.states:
+            assert state.read_words == sum(
                 p.footprint for p in coordinator.main_table[
-                    plan.main.start:plan.writes_at]), where
-            assert plan.dram_write_words() == sum(
-                p.footprint for p in coordinator.main_table[
-                    plan.writes_at:plan.main.stop]), where
-            assert plan.buffer_read_words() == sum(
+                    state.main.start:state.writes_at]), where
+            assert state.write_words == sum(
+                p.footprint for p in writes(coordinator, state)), where
+            assert state.replay_words == sum(
                 p.footprint
-                for p in coordinator.data_table[plan.data.start:plan.data.stop]
-                + coordinator.weight_table[plan.weight.start:plan.weight.stop]
+                for p in coordinator.data_table[
+                    state.data.start:state.data.stop]
+                + coordinator.weight_table[
+                    state.weight.start:state.weight.stop]
             ), where

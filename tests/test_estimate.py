@@ -6,7 +6,7 @@ from repro import api
 from repro.estimate import AnalyticEstimator, cross_validate
 from repro.estimate.validate import zoo_networks
 from repro.pipeline import BuildPipeline
-from repro.sim.accel import plan_traffic
+from repro.sim.accel import state_traffic
 from repro.zoo.models import benchmark_graph
 
 #: Zoo nets covering every datapath shape the estimator models: plain
@@ -85,10 +85,10 @@ class TestCrossValidation:
                                   fraction=0.3, weights=None,
                                   pipeline=pipe)
             estimator = AnalyticEstimator(artifacts.design)
-            for plan in artifacts.program.address_plans:
-                assert plan_traffic(plan) == \
-                    estimator.phase_traffic(plan.phase), \
-                    (net, plan.phase.layer, plan.phase.phase_index)
+            for state in artifacts.program.coordinator.states:
+                assert state_traffic(state) == \
+                    estimator.phase_traffic(state.phase), \
+                    (net, state.phase.layer, state.phase.phase_index)
             sim = api.simulate(artifacts, functional=False)
             est = api.estimate(artifacts)
             assert est.phase_traces == sim.phase_traces, net

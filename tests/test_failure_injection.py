@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis import analyze
 from repro.compiler import DeepBurningCompiler
-from repro.compiler.control import build_coordinator_program
 from repro.devices import Z7020, budget_fraction
 from repro.errors import (
     CompileError,
@@ -80,9 +79,8 @@ class TestCompilerRejections:
         from repro.compiler.address import AddressFlowGenerator
         from repro.compiler.memmap import build_memory_map
         memory_map = build_memory_map(design.resolved, design.datapath.simd)
-        plans = AddressFlowGenerator(design, memory_map).plans()
         with pytest.raises(CompileError):
-            build_coordinator_program(design, plans)
+            AddressFlowGenerator(design, memory_map).coordinator()
 
     def test_weights_for_wrong_shape(self, design):
         weights = init_weights(design.graph)
@@ -100,21 +98,23 @@ class TestCompilerRejections:
 class TestSimulatorRejections:
     def test_empty_program_rejected(self, design):
         program = DeepBurningCompiler().compile(design)
-        program.address_plans = []
+        program.coordinator.states = []
         with pytest.raises(SimulationError):
             AcceleratorSimulator(program).run(functional=False)
 
     def test_tampered_pattern_out_of_dram(self, design):
         program = DeepBurningCompiler().compile(design)
-        plan = next(p for p in program.address_plans
-                    if p.main_feature_reads)
+        state = next(s for s in program.coordinator.states
+                     if s.weight_reads_at > s.main.start)
         top = program.memory_map.total_elements
-        # Plans are read-only views, so tamper through the table they
-        # index: the plan's first feature read now starts past the top.
-        row = plan.main.start
+        # States hold index ranges, so tamper through the table they
+        # index: the state's first feature read now starts past the top.
+        row = state.main.start
         original = program.coordinator.main_table[row]
         program.coordinator.main_table[row] = original.rebased(top + 10_000)
-        assert plan.main_feature_reads[0].start_address == top + 10_000
+        feature_reads = program.coordinator.main_table[
+            state.main.start:state.weight_reads_at]
+        assert feature_reads[0].start_address == top + 10_000
         # The simulator's timing layer reads the recorded traffic and
         # still runs; both checkers catch the pattern.
         AcceleratorSimulator(program).run(functional=False)
@@ -125,7 +125,7 @@ class TestSimulatorRejections:
         findings = analyze(program, passes=("memory",)).by_rule(
             "mem.dram-oob")
         assert [finding.where for finding in findings] == [
-            f"main table[{row}] ({plan.event})"]
+            f"main table[{row}] ({state.event})"]
 
     def test_functional_with_wrong_input_shape(self, design):
         weights = init_weights(design.graph)

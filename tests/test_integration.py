@@ -5,8 +5,6 @@ compile → emit → lint; the smaller ones additionally run a functional
 simulation checked against the float reference.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -73,12 +71,11 @@ class TestCompileAll:
     def test_patterns_stay_inside_dram(self, programs, name):
         program = programs[name]
         top = program.memory_map.total_elements
-        for plan in program.address_plans:
-            for pattern in itertools.chain(plan.main_feature_reads,
-                                           plan.main_weight_reads,
-                                           plan.main_writes):
-                assert 0 <= pattern.start_address < top, plan.phase
-                assert pattern.max_address() < top, plan.phase
+        main_table = program.coordinator.main_table
+        for state in program.coordinator.states:
+            for pattern in main_table[state.main.start:state.main.stop]:
+                assert 0 <= pattern.start_address < top, state.phase
+                assert pattern.max_address() < top, state.phase
 
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_traffic_at_least_weights(self, programs, name):
@@ -88,9 +85,10 @@ class TestCompileAll:
             region.weight_elements
             for region in program.memory_map.weight_regions.values()
         )
+        main_table = program.coordinator.main_table
         read_words = sum(
-            sum(p.footprint for p in plan.main_weight_reads)
-            for plan in program.address_plans
+            p.footprint for state in program.coordinator.states
+            for p in main_table[state.weight_reads_at:state.writes_at]
         )
         assert read_words >= weight_words
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import analyze
 from repro.compiler import DeepBurningCompiler
 from repro.compiler.patterns import AccessPattern
-from repro.devices import Z7020, budget_fraction
+from repro.devices import Z7020, Z7045, budget_fraction
 from repro.errors import SimulationError
 from repro.experiments.config import scheme_budget
 from repro.frontend import load
@@ -86,6 +87,25 @@ class TestVerifyProgram:
             assert any("declares" in error for error in report.errors)
         finally:
             table[-1] = original
+
+    def test_main_range_past_table_reported(self):
+        # A main range past the table is an error line, as the static
+        # pass's ``ctl.pattern-id`` is, never an IndexError.
+        design = NNGen().generate(benchmark_graph("mnist"),
+                                  budget_fraction(Z7045, 0.3))
+        program = DeepBurningCompiler().compile(design)
+        coordinator = program.coordinator
+        rows = len(coordinator.main_table)
+        coordinator.states[0] = coordinator.states[0]._replace(
+            main=range(rows, rows + 2))
+        findings = analyze(program, passes=("control",))
+        assert findings.by_rule("ctl.pattern-id")
+        report = verify_program(program)
+        assert not report.ok
+        assert f"state 0: pattern id {rows} outside its table" \
+            in report.errors
+        assert f"state 0: pattern id {rows + 1} outside its table" \
+            in report.errors
 
     def test_raise_on_error(self, mlp_program):
         program = mlp_program
