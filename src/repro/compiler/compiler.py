@@ -15,7 +15,7 @@ from repro.compiler.lut import (
 )
 from repro.compiler.memmap import build_memory_map
 from repro.compiler.program import ControlProgram
-from repro.compiler.reduce import reduce_agus
+from repro.compiler.reduce import reduce_agus, summarize_tables
 from repro.errors import CompileError, LayoutError
 from repro.fixedpoint.calibrate import calibrate_format
 from repro.fixedpoint.ops import quantize_to_ints, row_blocks
@@ -51,7 +51,8 @@ class DeepBurningCompiler:
         coordinator = AddressFlowGenerator(design, memory_map).coordinator()
         # With the pattern tables fixed, reduce the template AGUs to the
         # fields and table depth the network actually exercises.
-        reduce_agus(design, coordinator)
+        table_summaries = summarize_tables(coordinator)
+        reduce_agus(design, table_summaries)
 
         blob_formats = self._calibrate_blobs(design, weights,
                                              calibration_inputs)
@@ -65,6 +66,7 @@ class DeepBurningCompiler:
             design=design,
             memory_map=memory_map,
             coordinator=coordinator,
+            table_summaries=table_summaries,
             blob_formats=blob_formats,
             weight_format=weight_format,
             luts=luts,

@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.compiler.layout import FeatureLayout, WeightLayout, method1_layout
+from repro.compiler.layout import (
+    FeatureLayout,
+    WeightLayout,
+    choose_tile_side,
+    method1_layout,
+)
 from repro.errors import LayoutError
 from repro.frontend.layers import LayerKind, LayerSpec
 from repro.frontend.resolver import ResolvedGraph
@@ -67,6 +72,24 @@ def _weight_dims(spec: LayerSpec,
     # each output neuron's weights stay contiguous.
     recurrent = spec.num_output if spec.kind is LayerKind.RECURRENT else 0
     return dims[0], math.prod(dims[1:]) + recurrent, recurrent
+
+
+def port_alignment(resolved: ResolvedGraph,
+                   port_width: int) -> tuple[tuple[int, bool], ...]:
+    """The Method-1 tile choice (:func:`choose_tile_side`) of every
+    spatial feature blob.
+
+    This is all the port width decides in :func:`build_memory_map`, so
+    two widths with the same alignment lay DRAM out identically.
+    """
+    windows = resolved.windows
+    alignment = []
+    for blob, shape in resolved.shapes.items():
+        if shape.is_spatial:
+            kernel, stride = windows.get(blob, (1, 1))
+            alignment.append(choose_tile_side(max(1, kernel), max(1, stride),
+                                              port_width))
+    return tuple(alignment)
 
 
 def build_memory_map(resolved: ResolvedGraph, port_width: int) -> MemoryMap:

@@ -16,6 +16,8 @@ import numpy as np
 from repro.compiler.control import CoordinatorProgram
 from repro.compiler.lut import ApproxLUTContent
 from repro.compiler.memmap import MemoryMap
+from repro.compiler.reduce import TableSummary
+from repro.components.agu import AGURole
 from repro.errors import CompileError
 from repro.fixedpoint.format import QFormat
 from repro.nngen.design import AcceleratorDesign
@@ -28,6 +30,10 @@ class ControlProgram:
     design: AcceleratorDesign
     memory_map: MemoryMap
     coordinator: CoordinatorProgram
+    #: What each AGU role's reduced instance needs of its coordinator
+    #: table (:func:`~repro.compiler.reduce.summarize_tables`).
+    table_summaries: dict[AGURole, TableSummary] = field(
+        default_factory=dict)
     #: Fixed-point format of every blob (calibrated or default).
     blob_formats: dict[str, QFormat] = field(default_factory=dict)
     weight_format: QFormat | None = None

@@ -11,7 +11,8 @@ design will never use.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from repro.compiler.patterns import AccessPattern
 from repro.components.agu import AGURole, AddressGenerationUnit, TEMPLATE_FIELDS
@@ -41,39 +42,65 @@ def pattern_rom(table: Sequence[AccessPattern]) -> Sequence[AccessPattern]:
     return table or [AccessPattern(start_address=0, x_length=1)]
 
 
-def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, AddressGenerationUnit]:
-    """Replace the design's template AGUs with reduced instances.
+class TableSummary(NamedTuple):
+    """What a reduced AGU needs of its coordinator table: the distinct
+    pattern shapes the cost model prices, the template fields they
+    exercise and the pattern-ROM rows."""
 
-    Returns the reduced AGUs (also installed into ``design.components``).
-    ``coordinator_program`` is the compiled
-    :class:`~repro.compiler.control.CoordinatorProgram` whose pattern
-    tables define what each AGU must support.
+    n_patterns: int
+    fields: tuple[str, ...]
+    rows: int
+
+
+def summarize_tables(coordinator_program) -> dict[AGURole, TableSummary]:
+    """Each AGU role's :class:`TableSummary` of a compiled
+    :class:`~repro.compiler.control.CoordinatorProgram`.
+
+    Folds of one layer share a pattern shape, re-based per fold; the
+    cost model prices the table by its distinct shapes, while the ROM
+    holds every row.  One pass keyed by the hashed shape keeps this
+    linear in the table length.  Every design compiled to the same
+    program installs AGUs from the same summaries
+    (:func:`reduce_agus`), so they are computed once per program.
     """
     tables = {
         AGURole.MAIN: coordinator_program.main_table,
         AGURole.DATA: coordinator_program.data_table,
         AGURole.WEIGHT: coordinator_program.weight_table,
     }
-    reduced: dict[str, AddressGenerationUnit] = {}
+    summaries = {}
     for role, table in tables.items():
+        table = pattern_rom(table)
+        distinct = {pattern.shape: pattern for pattern in table}
+        summaries[role] = TableSummary(
+            len(distinct), fields_for_patterns(distinct.values()), len(table))
+    return summaries
+
+
+def reduce_agus(design: AcceleratorDesign,
+                summaries: Mapping[AGURole, TableSummary],
+                ) -> dict[str, AddressGenerationUnit]:
+    """Replace the design's template AGUs with reduced instances.
+
+    Returns the reduced AGUs (also installed into ``design.components``).
+    ``summaries`` (:func:`summarize_tables`) say what each AGU's pattern
+    table must support; the address width and burst length stay the
+    design's own.
+    """
+    reduced: dict[str, AddressGenerationUnit] = {}
+    for role, summary in summaries.items():
         instance = f"agu_{role.value}"
         original = design.components.get(instance)
         if original is None:
             raise CompileError(f"design has no '{instance}' to reduce")
-        table = pattern_rom(table)
-        # Folds of one layer share a pattern shape, re-based per fold;
-        # the cost model prices the table by its distinct shapes, while
-        # the ROM holds every row (``rows``).  One pass keyed by the
-        # hashed shape keeps this linear in the table length.
-        distinct = {pattern.shape: pattern for pattern in table}
         agu = AddressGenerationUnit(
             instance,
             role=role,
-            n_patterns=len(distinct),
+            n_patterns=summary.n_patterns,
             address_width=original.address_width,
             burst_words=original.burst_words,
-            fields=fields_for_patterns(distinct.values()),
-            rows=len(table),
+            fields=summary.fields,
+            rows=summary.rows,
         )
         design.components[instance] = agu
         reduced[instance] = agu

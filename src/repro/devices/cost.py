@@ -53,10 +53,13 @@ class ResourceCost:
 
     @staticmethod
     def total(costs: list["ResourceCost"]) -> "ResourceCost":
-        result = ResourceCost()
+        dsp = lut = ff = bram_bits = 0
         for cost in costs:
-            result = result + cost
-        return result
+            dsp += cost.dsp
+            lut += cost.lut
+            ff += cost.ff
+            bram_bits += cost.bram_bits
+        return ResourceCost(dsp, lut, ff, bram_bits)
 
     def __str__(self) -> str:
         return (

@@ -5,10 +5,11 @@ build pipeline (:mod:`repro.pipeline`) through the
 :func:`repro.api.build` facade, then one report — the simulator or the
 closed-form estimator — then one :class:`PointResult`.  Points of one
 sweep share every build stage they have in common — weight init,
-quantization, datapath selection, compilation, even whole realized
-designs when different cap values clamp to the same effective
-datapath.  The engine exploits that sharing three ways before any
-evaluation runs:
+quantization, datapath selection, fold schedules and their compiled
+programs and analytic timings when budgets buy the same buffers, even
+whole realized designs when different cap values clamp to the same
+effective datapath.  The engine exploits that sharing three ways
+before any evaluation runs:
 
 1. persistent-cache hits (:class:`~repro.dse.cache.DesignCache`) are
    resolved up front, so a fully warm sweep never spawns a process;
@@ -97,7 +98,8 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
     Every mode builds the same artifacts (weightless unless
     ``functional``) and differs only in the report:
     ``estimator="analytic"`` scores the closed-form model
-    (:mod:`repro.estimate`), memoized per realized design; otherwise
+    (:mod:`repro.estimate`), whose recurrence is memoized per fold
+    schedule, SIMD width and device and priced per design; otherwise
     the simulator runs the compiled program.  Both reports are a
     :class:`~repro.sim.accel.SimulationResult` with the same cycles
     and energy.
@@ -138,12 +140,17 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
                     estimator=label, stage_s=stage_s,
                 )
         design = artifacts.design
+        used = design.resource_report()
         accuracy = None
         if label == "analytic":
-            report, stage_s["estimate_s"] = pipe.cache.get_or_build(
+            estimator = AnalyticEstimator(design)
+            timing, stage_s["estimate_s"] = pipe.cache.get_or_build(
                 "estimate",
-                stage_key("estimate", design=artifacts.stage_keys["design"]),
-                lambda: AnalyticEstimator(design).report())
+                stage_key("estimate", compile=artifacts.stage_keys["compile"],
+                          simd=design.datapath.simd,
+                          device=design.budget.device.name),
+                estimator.timing)
+            report = estimator.report(timing, used.lut)
         else:
             started = time.perf_counter()
             report = api.simulator(artifacts).run(
@@ -154,7 +161,6 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
                 reference = pipe.reference_output(artifacts)
                 accuracy = _fidelity(np.asarray(report.output, dtype=float),
                                      np.asarray(reference, dtype=float))
-        used = design.resource_report()
         return PointResult(
             point=point,
             status="ok",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from repro.components.library import ComponentLibrary, blocks_for_layer, \
     default_library
@@ -25,6 +26,10 @@ from repro.nngen.allocate import (
 )
 from repro.nngen.design import AcceleratorDesign, DatapathConfig, FoldingPlan
 from repro.nngen.folding import build_folding_plan
+
+#: Makes the folding plan of a (resolved graph, datapath, feature
+#: capacity, weight capacity) in per-bank words.
+Folder = Callable[[ResolvedGraph, DatapathConfig, int, int], FoldingPlan]
 
 
 class NNGen:
@@ -112,13 +117,17 @@ class NNGen:
     def realise_design(self, resolved: ResolvedGraph,
                        budget: ResourceBudget, config: DatapathConfig,
                        fold_capacity_scale: float = 1.0,
+                       fold: Folder = build_folding_plan,
                        ) -> AcceleratorDesign:
         """Realise a design for an (already capped) datapath choice.
 
         The datapath search estimates control cost from a nominal plan
         size; once the real folding plan exists, control may grow.  If
         the realised design overflows the budget, back the datapath off
-        and re-fold until it fits.
+        and re-fold until it fits.  ``fold`` makes each folding plan
+        (:func:`~repro.nngen.folding.build_folding_plan` or a memoized
+        stand-in with its signature; the build pipeline shares one plan
+        between every design that folds alike).
         """
         feature_demand, weight_demand = self._demands(
             resolved, config.data_format, config.weight_format)
@@ -126,7 +135,7 @@ class NNGen:
         while True:
             design = self._realise(resolved, budget, config, needs,
                                    feature_demand, weight_demand,
-                                   fold_capacity_scale)
+                                   fold_capacity_scale, fold)
             used = design.resource_report()
             if used.fits_in(budget.limit):
                 return design
@@ -167,7 +176,8 @@ class NNGen:
 
     def _realise(self, resolved, budget, config, needs,
                  feature_demand, weight_demand,
-                 fold_capacity_scale: float = 1.0) -> AcceleratorDesign:
+                 fold_capacity_scale: float,
+                 fold: Folder) -> AcceleratorDesign:
         components = dict(functional_components(config, needs))
         buffers = buffer_components(config, budget, feature_demand,
                                     weight_demand)
@@ -186,8 +196,7 @@ class NNGen:
         feature_capacity = max(1, int(feature_capacity
                                       * fold_capacity_scale))
         weight_capacity = max(1, int(weight_capacity * fold_capacity_scale))
-        folding = build_folding_plan(resolved, config, feature_capacity,
-                                     weight_capacity)
+        folding = fold(resolved, config, feature_capacity, weight_capacity)
 
         # Control scales with the number of layer templates, not folds:
         # folds of one layer share a coordinator state parameterised by

@@ -16,12 +16,15 @@ stage      key components
 resolve    graph fingerprint
 weights    fingerprint, seed, declaration order (a lazy seeded source)
 datapath   fingerprint, budget (device + limits + label), formats
+folding    fingerprint, declaration order, lanes, per-bank feature and
+           weight capacities
 design     fingerprint, declaration order, budget, formats,
            *effective* lane/SIMD caps, fold-capacity scale
-compile    design key (the control program is weight-independent when
-           no calibration inputs are given)
+compile    folding key, the memory map's SIMD alignment, formats (the
+           control program is weight-independent when no calibration
+           inputs are given)
 dram       fingerprint, seed, declaration order, weight format, SIMD
-           alignment
+           width
 reference  fingerprint, seed, declaration order (float forward for
            fidelity scoring)
 ========== =========================================================
@@ -30,6 +33,13 @@ Keying the design stage on the *effective* datapath caps (after
 clamping against what the budget supports) means a sweep over
 ``max_lanes = 0, 8, 16, 32`` collapses onto the distinct realized
 designs instead of re-generating byte-identical hardware four times.
+The budget is in the design key but in neither the folding nor the
+compile key: the fold schedule reads only the buffers the budget buys,
+and the control program only that schedule, the memory map and the
+formats.  Many budgets buy the same buffers, so the designs of a sweep
+share far fewer schedules and programs than there are designs; each
+design still gets its own AGUs reduced from its program
+(:meth:`BuildPipeline.compile_core`).
 The fingerprint excludes the network name, so a build that hits a
 design memoized for a same-topology graph under another name gets that
 design and its compiled core rebound to its own graph.
@@ -37,8 +47,9 @@ design and its compiled core rebound to its own graph.
 The fingerprint ignores declaration order, but the seeded draw walks
 the weighted layers in that order, the fold schedule and the memory map
 follow it, and an in-place reader sees the write declared before it.
-So the three seeded stages and the design stage (and through its key
-the compiled core) also key on the layer names in declaration order.
+So the three seeded stages, the folding and the design stage (and
+through the folding key the compiled core) also key on the layer names
+in declaration order.
 
 The ``dram`` stage's image, stored at the weight format's width, is the
 only integer copy of the weights, and a seeded build draws its Gaussian
@@ -72,6 +83,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.compiler.compiler import DeepBurningCompiler
+from repro.compiler.memmap import port_alignment
+from repro.compiler.reduce import reduce_agus
 from repro.devices.device import (
     Device,
     ResourceBudget,
@@ -87,11 +100,12 @@ from repro.frontend import resolver
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.resolver import ResolvedGraph
 from repro.nn.reference import SeededWeights, init_weights
+from repro.nngen.folding import build_folding_plan
 from repro.nngen.generator import NNGen
 
 #: Stage names, in flow order (used by stats reporting and the docs).
-STAGES = ("resolve", "weights", "datapath", "design", "compile", "dram",
-          "reference")
+STAGES = ("resolve", "weights", "datapath", "folding", "design", "compile",
+          "dram", "reference")
 
 
 def stage_key(stage: str, **fields: object) -> str:
@@ -104,6 +118,10 @@ def stage_key(stage: str, **fields: object) -> str:
 
 def _declaration_order(graph: NetworkGraph) -> list[str]:
     return [spec.name for spec in graph.layers]
+
+
+def _bits(fmt: QFormat) -> list[int]:
+    return [fmt.integer_bits, fmt.fraction_bits]
 
 
 def _budget_fields(budget: ResourceBudget) -> dict[str, object]:
@@ -280,9 +298,7 @@ class BuildPipeline:
         """The budget-driven datapath choice, before explorer caps."""
         key = stage_key(
             "datapath", fp=fp, budget=_budget_fields(budget),
-            data_bits=[data_format.integer_bits, data_format.fraction_bits],
-            weight_bits=[weight_format.integer_bits,
-                         weight_format.fraction_bits],
+            data_bits=_bits(data_format), weight_bits=_bits(weight_format),
         )
         gen = NNGen()
         return self.cache.get_or_build(
@@ -302,20 +318,43 @@ class BuildPipeline:
         """
         return stage_key(
             "design", fp=fp, order=order, budget=_budget_fields(budget),
-            data_bits=[config.data_format.integer_bits,
-                       config.data_format.fraction_bits],
-            weight_bits=[config.weight_format.integer_bits,
-                         config.weight_format.fraction_bits],
+            data_bits=_bits(config.data_format),
+            weight_bits=_bits(config.weight_format),
             lanes=config.lanes, simd=config.simd,
             fold_capacity_scale=fold_capacity_scale,
         )
+
+    def folding(self, resolved: ResolvedGraph, fp: str, config,
+                feature_capacity: int, weight_capacity: int):
+        """The memoized fold schedule; returns ``(plan, key)``.
+
+        :func:`~repro.nngen.folding.build_folding_plan` reads the
+        resolved graph (and its declaration order), the lane count and
+        the two per-bank capacities, and nothing else: budgets that buy
+        the same buffers share one plan.
+        """
+        key = stage_key("folding", fp=fp,
+                        order=_declaration_order(resolved.graph),
+                        lanes=config.lanes,
+                        feature_capacity=feature_capacity,
+                        weight_capacity=weight_capacity)
+        plan, _ = self.cache.get_or_build(
+            "folding", key,
+            lambda: build_folding_plan(resolved, config, feature_capacity,
+                                       weight_capacity))
+        return plan, key
 
     def design(self, resolved: ResolvedGraph, fp: str,
                budget: ResourceBudget, data_format: QFormat,
                weight_format: QFormat, max_lanes: int = 0, max_simd: int = 0,
                fold_capacity_scale: float = 1.0):
-        """datapath + realise, memoized; returns
-        ``(design, design_key, seconds)``."""
+        """datapath + realise, memoized; returns ``(design, keys,
+        seconds, realised)``.
+
+        ``keys`` holds the ``design`` key and the ``compile`` key of the
+        design's control program; ``realised`` is True when this call
+        realised the design rather than finding it memoized.
+        """
         gen = NNGen()
         gen.validate_knobs(max_lanes=max_lanes, max_simd=max_simd,
                            fold_capacity_scale=fold_capacity_scale)
@@ -324,25 +363,69 @@ class BuildPipeline:
         config = NNGen.apply_caps(config, max_lanes, max_simd)
         key = self.design_key(fp, _declaration_order(resolved.graph),
                               budget, config, fold_capacity_scale)
-        design, realise_s = self.cache.get_or_build(
-            "design", key,
-            lambda: gen.realise_design(resolved, budget, config,
-                                       fold_capacity_scale))
-        return design, key, choose_s + realise_s
 
-    def compile_core(self, design, design_key: str):
-        """The weight-independent control program (``dram_image=None``).
+        realised = False
 
-        With no calibration inputs the coordinator program, address
-        plans, memory map, blob formats and LUTs depend only on the
-        design, whose key covers the declaration order the memory map
-        lays blobs and weights out in, so one compiled core serves every
-        weight set.
+        def realise():
+            nonlocal realised
+            realised = True
+            folded: list[str] = []
+
+            def fold(resolved, config, feature_capacity, weight_capacity):
+                plan, fold_key = self.folding(resolved, fp, config,
+                                              feature_capacity,
+                                              weight_capacity)
+                folded.append(fold_key)
+                return plan
+
+            design = gen.realise_design(resolved, budget, config,
+                                        fold_capacity_scale, fold)
+            return design, self.compile_key(design, folded[-1])
+
+        (design, compile_key), realise_s = self.cache.get_or_build(
+            "design", key, realise)
+        keys = {"design": key, "compile": compile_key}
+        return design, keys, choose_s + realise_s, realised
+
+    @staticmethod
+    def compile_key(design, folding_key: str) -> str:
+        """Content address of a design's weight-independent control
+        program.
+
+        With no calibration inputs the coordinator program, memory map,
+        routed blocks, blob formats and LUTs read the fold schedule
+        (``folding_key``), the memory map's SIMD alignment
+        (:func:`~repro.compiler.memmap.port_alignment`) and the data and
+        weight formats.  The budget beyond the buffers it buys is not
+        among them: it prices the design, not its program.
         """
-        key = stage_key("compile", design=design_key)
-        return self.cache.get_or_build(
+        datapath = design.datapath
+        return stage_key(
+            "compile", folding=folding_key,
+            alignment=port_alignment(design.resolved, datapath.simd),
+            data_bits=_bits(datapath.data_format),
+            weight_bits=_bits(datapath.weight_format),
+        )
+
+    def compile_core(self, design, key: str, realised: bool):
+        """The weight-independent control program (``dram_image=None``)
+        bound to ``design``; returns ``(program, seconds)``.
+
+        One compiled core serves every design under the compile ``key``
+        (:meth:`compile_key`) and every weight set.  Its AGU reduction
+        is per design: a design ``realised`` by this build that hits
+        another design's core installs its own reduced AGUs from the
+        core's table summaries (a memoized design got them when it was
+        realised), so resources and static power stay the design's own.
+        """
+        core, seconds = self.cache.get_or_build(
             "compile", key,
             lambda: DeepBurningCompiler().compile(design, weights=None))
+        if core.design is not design:
+            if realised:
+                reduce_agus(design, core.table_summaries)
+            core = replace(core, design=design)
+        return core, seconds
 
     def dram_image(self, design, core, fp: str, seed: int,
                    weights, weight_format: QFormat,
@@ -367,8 +450,7 @@ class BuildPipeline:
         key = stage_key(
             "dram", fp=fp, seed=seed,
             order=_declaration_order(design.graph),
-            weight_bits=[weight_format.integer_bits,
-                         weight_format.fraction_bits],
+            weight_bits=_bits(weight_format),
             simd=design.datapath.simd,
         )
         return self.cache.get_or_build("dram", key, build)
@@ -440,19 +522,17 @@ class BuildPipeline:
         resolved = self.resolve(graph, fp)
         timings["resolve_s"] = time.perf_counter() - resolve_t0
 
-        design, design_key, nngen_s = self.design(
+        design, keys, timings["nngen_s"], realised = self.design(
             resolved, fp, budget, data_format, weight_format,
             max_lanes=max_lanes, max_simd=max_simd,
             fold_capacity_scale=fold_capacity_scale)
-        timings["nngen_s"] = nngen_s
         if design.resolved is not resolved:
             # A hit on a same-fingerprint graph under another name:
             # report and run this build's graph.
             design = replace(design, resolved=resolved)
-        core, compile_s = self.compile_core(design, design_key)
+        core, compile_s = self.compile_core(design, keys["compile"],
+                                            realised)
         timings["compile_s"] = compile_s
-        if core.design is not design:
-            core = replace(core, design=design)
 
         if seeded:
             weights, weights_s = self.weights(resolved, fp, seed)
@@ -474,8 +554,7 @@ class BuildPipeline:
             weights=weights,
             seed=seed,
             stage_seconds=timings,
-            stage_keys={"fingerprint": fp, "design": design_key,
-                        "seeded": seeded},
+            stage_keys={"fingerprint": fp, **keys, "seeded": seeded},
         )
 
     def _build_uncached(self, graph, budget, data_format, weight_format,

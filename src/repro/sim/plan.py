@@ -29,7 +29,10 @@ conv→activation→pool without round-tripping to memory:
   the intermediate value is never materialized as its own allocation.
 * **Serial node order** — nodes run one after another, in list order,
   on the calling thread, like the accelerator's fold phases on its one
-  shared datapath; parallelism lives inside a node's batched GEMM.
+  shared datapath.  Serving runs in parallel across worker sessions,
+  each flushing on its own thread, not inside a GEMM: the GEMMs are
+  small, and a multi-threaded BLAS spends several times the CPU per
+  flush waking its thread pool, so serve with one BLAS thread.
 * **Liveness-dropped buffers** — every value's last reader node is
   precomputed at build time; on the ``keep="output"`` serving path the
   flush drops its reference to each value right after that node, so

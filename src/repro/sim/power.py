@@ -57,9 +57,14 @@ class EnergyModel:
         self.device = device
         self.word_bytes = word_bytes
         occupied_lut = design.resource_report().lut if design is not None else 0
-        self.static_power_w = (device.static_power_w
-                               + device.power_per_klut * occupied_lut / 1000.0)
+        self.static_power_w = self.static_power(occupied_lut)
         self.reset()
+
+    def static_power(self, occupied_lut: int) -> float:
+        """The device's static power plus that of ``occupied_lut``
+        LUTs."""
+        return (self.device.static_power_w
+                + self.device.power_per_klut * occupied_lut / 1000.0)
 
     def reset(self) -> None:
         self.macs = 0
@@ -73,13 +78,20 @@ class EnergyModel:
         self.sram_words += sram_words
         self.dram_words += dram_words
 
-    def report(self, cycles: int) -> EnergyReport:
+    def report(self, cycles: int,
+               occupied_lut: int | None = None) -> EnergyReport:
+        """The run's energy.  ``occupied_lut`` prices the static power
+        at that many LUTs instead of the design the counts were taken
+        on: designs that share a fold schedule share its activity
+        counts, not their area."""
         if cycles < 0:
             raise SimulationError("negative cycle count")
         time_s = cycles / self.device.clock_hz
+        static_power_w = (self.static_power_w if occupied_lut is None
+                          else self.static_power(occupied_lut))
         return EnergyReport(
             time_s=time_s,
-            static_j=self.static_power_w * time_s,
+            static_j=static_power_w * time_s,
             mac_j=self.macs * self.device.energy_per_mac,
             sram_j=self.sram_words * self.word_bytes
             * self.device.energy_per_sram_byte,

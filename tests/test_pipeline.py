@@ -110,11 +110,13 @@ class TestStageInvalidation:
         before = _misses(pipe)
         api.build(mnist, fraction=0.4, pipeline=pipe)
         delta = _delta(before, _misses(pipe))
-        # New budget: new datapath, design, compiled core.  Same seed
+        # New budget: new datapath and design; mnist's buffers and lanes
+        # move, so a new fold schedule and compiled core.  Same seed
         # and weight format: the float weights survive, and the DRAM
         # image is rebuilt only if the realized SIMD width moved.
-        assert {"datapath", "design", "compile"} <= set(delta)
-        assert set(delta) <= {"datapath", "design", "compile", "dram"}
+        assert {"datapath", "folding", "design", "compile"} <= set(delta)
+        assert set(delta) <= {"datapath", "folding", "design", "compile",
+                              "dram"}
         assert "weights" not in delta
 
     def test_lane_caps_collapse_onto_one_design(self, mnist):
@@ -426,7 +428,8 @@ class TestSweepByteIdentity:
         pipe = BuildPipeline()
         serial_cold = run_sweep(graph, spec, jobs=1, pipeline=pipe)
         before = _misses(pipe)
-        assert any(before.values())
+        assert all(before[stage] for stage in ("folding", "design",
+                                               "compile"))
         serial_warm = run_sweep(graph, spec, jobs=1, pipeline=pipe)
         # The warm re-sweep is served entirely from the stage cache.
         assert _delta(before, _misses(pipe)) == {}
@@ -485,6 +488,192 @@ class TestSweepSharing:
         for stage in ("nngen_s", "quantize_s", "compile_s", "plan_s"):
             assert stage in split
         assert "build" in sweep.render()
+
+
+#: Two ways mnist designs share a fold schedule.  On the Z-7045 the
+#: three fractions buy the same buffers at the same 16 lanes, and a SIMD
+#: cap of 8 keeps the per-bank capacities and the memory map's
+#: alignment: six designs, one control program, two areas.  On the
+#: Z-7020 the larger fraction's buffers at half the fold capacity fold
+#: like the smaller fraction's at full capacity: one analytic timing
+#: for two buffer sizes, hence two areas and two static powers.
+SHARED_SCHEDULE = SweepSpec.explicit([
+    *SweepSpec(fractions=(0.3, 0.4, 0.5), max_simd=(0, 8)).points(),
+    *SweepSpec(device="Z-7020", fractions=(0.1, 0.15),
+               fold_capacity_scales=(1.0, 0.5)).points(),
+])
+
+
+def _sweep_builds(graph, spec: SweepSpec, pipe: BuildPipeline) -> list:
+    return [api.build(graph, device=point.device, fraction=point.fraction,
+                      max_lanes=point.max_lanes, max_simd=point.max_simd,
+                      fold_capacity_scale=point.fold_capacity_scale,
+                      data_format=point.data_format,
+                      weight_format=point.weight_format, weights=None,
+                      pipeline=pipe)
+            for point in spec.points()]
+
+
+def _agus(design) -> list:
+    return [(agu.n_patterns, agu.fields, agu.rows, agu.address_width,
+             agu.burst_words, agu.resource_cost())
+            for name, agu in sorted(design.components.items())
+            if name.startswith("agu_")]
+
+
+def _concat_order_graphs() -> list:
+    """Two graphs that differ only in the declaration order of the two
+    branches into a concat, so they share a fingerprint."""
+    branches = {
+        "ipa": 'layers { name: "ipa" type: INNER_PRODUCT bottom: "data" '
+               'top: "ipa" param { num_output: 6 } }',
+        "ipb": 'layers { name: "ipb" type: INNER_PRODUCT bottom: "data" '
+               'top: "ipb" param { num_output: 5 } }',
+    }
+    graphs = []
+    for order in (("ipa", "ipb"), ("ipb", "ipa")):
+        graphs.append(load("\n".join([
+            'name: "order_net"',
+            'layers { name: "data" type: DATA top: "data" '
+            'param { dim: 8 } }',
+            *(branches[name] for name in order),
+            'layers { name: "cat" type: CONCAT bottom: "ipa" bottom: "ipb" '
+            'top: "cat" }']), format="prototxt"))
+    return graphs
+
+
+class TestScheduleSharing:
+    """Designs that fold alike share one fold schedule, one control
+    program and one analytic timing, and nothing else: each keeps its
+    own reduced AGUs, resources and energy."""
+
+    @pytest.mark.parametrize("estimator", ["exact", "analytic", "hybrid"])
+    def test_shared_sweep_equals_private_builds(self, mnist, estimator):
+        from repro.dse import pareto_frontier
+        from repro.dse.engine import evaluate_point
+
+        pipe = BuildPipeline()
+        sweep = run_sweep(mnist, SHARED_SCHEDULE, jobs=1, pipeline=pipe,
+                          estimator=estimator)
+        shared = _sweep_builds(mnist, SHARED_SCHEDULE, pipe)
+        private = [_sweep_builds(mnist, SweepSpec.explicit([point]),
+                                 BuildPipeline())[0]
+                   for point in SHARED_SCHEDULE.points()]
+        # For the check to bite, one program, and one timing, must serve
+        # designs that differ in area.
+        areas = {"program": {}, "timing": {}}
+        for a in shared:
+            lut = a.design.resource_report().lut
+            timing = (a.stage_keys["compile"], a.design.datapath.simd,
+                      a.design.budget.device.name)
+            areas["program"].setdefault(a.stage_keys["compile"],
+                                        set()).add(lut)
+            areas["timing"].setdefault(timing, set()).add(lut)
+        assert any(len(luts) > 1 for luts in areas["program"].values())
+        assert any(len(luts) > 1 for luts in areas["timing"].values())
+        for got, want in zip(shared, private):
+            assert _agus(got.design) == _agus(want.design)
+            assert got.design.resource_report() == \
+                want.design.resource_report()
+        alone = [evaluate_point(mnist, row.point, pipeline=BuildPipeline(),
+                                estimator=row.estimator)
+                 for row in sweep.results]
+        assert [row.to_json() for row in sweep.results] == \
+            [row.to_json() for row in alone]
+        assert [row.to_json() for row in sweep.frontier()] == \
+            [row.to_json() for row in pareto_frontier(alone)]
+
+    def test_budgets_buying_the_same_buffers_share_a_schedule(self, mnist):
+        pipe = BuildPipeline()
+        base, wider = (api.build(mnist, fraction=fraction, weights=None,
+                                 pipeline=pipe) for fraction in (0.3, 0.4))
+        assert base.stage_keys["design"] != wider.stage_keys["design"]
+        assert wider.design.folding is base.design.folding
+        assert wider.program.coordinator is base.program.coordinator
+        assert wider.program.design is wider.design
+
+    @pytest.mark.parametrize("change", [
+        dict(max_lanes=8),
+        dict(weight_format=QFormat(3, 4)),
+        dict(fold_capacity_scale=0.5),
+    ], ids=["lanes", "qformat", "fold-capacity-scale"])
+    def test_a_schedule_input_shares_nothing(self, mnist, change):
+        pipe = BuildPipeline()
+        base = api.build(mnist, fraction=0.3, weights=None, pipeline=pipe)
+        other = api.build(mnist, fraction=0.3, weights=None, pipeline=pipe,
+                          **change)
+        assert other.design.folding is not base.design.folding
+        assert other.program.coordinator is not base.program.coordinator
+
+    def test_declaration_order_shares_nothing(self):
+        pipe = BuildPipeline()
+        first, second = (api.build(graph, weights=None, pipeline=pipe)
+                         for graph in _concat_order_graphs())
+        assert first.stage_keys["fingerprint"] == \
+            second.stage_keys["fingerprint"]
+        assert second.design.folding is not first.design.folding
+        assert second.program.coordinator is not first.program.coordinator
+
+    def test_keys_cover_exactly_what_each_stage_reads(self, mnist):
+        """A format change that keeps the buffer capacities keeps the
+        fold schedule but not the program (formats reach the LUTs and
+        blob formats); a SIMD change that keeps the capacities and the
+        memory map's alignment keeps both."""
+        pipe = BuildPipeline()
+        base = api.build(mnist, fraction=0.3, weights=None, pipeline=pipe)
+        reformatted = api.build(mnist, fraction=0.3, weights=None,
+                                weight_format=QFormat(4, 11), pipeline=pipe)
+        assert reformatted.design.folding is base.design.folding
+        assert reformatted.program.coordinator is not \
+            base.program.coordinator
+        narrow = api.build(mnist, fraction=0.3, max_simd=8, weights=None,
+                           pipeline=pipe)
+        assert narrow.design.datapath.simd != base.design.datapath.simd
+        assert narrow.program.coordinator is base.program.coordinator
+        assert _agus(narrow.design) != _agus(base.design)
+
+    def test_cold_sweep_builds_each_distinct_schedule_once(self, mnist,
+                                                           monkeypatch):
+        """Count the fold plans, coordinator programs and analytic
+        recurrences a cold sweep builds against the distinct ones among
+        its designs."""
+        import repro.pipeline
+        from repro.compiler.address import AddressFlowGenerator
+        from repro.estimate import AnalyticEstimator
+
+        spec = SweepSpec(fractions=(0.1, 0.3, 0.4, 0.5), max_simd=(0, 8))
+        built = {"plans": 0, "programs": 0, "recurrences": 0}
+
+        def counting(owner, name, counter):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                built[counter] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(repro.pipeline, "build_folding_plan", "plans")
+        counting(AddressFlowGenerator, "coordinator", "programs")
+        counting(AnalyticEstimator, "timing", "recurrences")
+        sweep = run_sweep(mnist, spec, jobs=1, pipeline=BuildPipeline(),
+                          estimator="analytic")
+        assert all(row.status == "ok" for row in sweep.results)
+        monkeypatch.undo()
+
+        designs = _sweep_builds(mnist, spec, BuildPipeline())
+        plans = {tuple(a.design.folding) for a in designs}
+        programs = {(tuple(a.program.coordinator.states),
+                     tuple(a.program.coordinator.main_table),
+                     tuple(a.program.coordinator.data_table),
+                     tuple(a.program.coordinator.weight_table))
+                    for a in designs}
+        timings = {(tuple(a.design.folding), a.design.datapath.simd)
+                   for a in designs}
+        groups = len(spec.points()) - sweep.design_shared - sweep.deduped
+        assert built == {"plans": len(plans), "programs": len(programs),
+                         "recurrences": len(timings)}
+        assert len(plans) < len(timings) < groups
 
 
 class TestRuntimePlanSharing:

@@ -109,7 +109,7 @@ class TestReduceInCompile:
         program = DeepBurningCompiler().compile(design)
         del design.components["agu_main"]
         with pytest.raises(CompileError):
-            reduce_agus(design, program.coordinator)
+            reduce_agus(design, program.table_summaries)
 
     def test_pattern_table_deduplicates_shapes(self):
         graph = load(MLP_TEXT, format="prototxt")
