@@ -227,8 +227,9 @@ def estimate(artifacts: BuildArtifacts) -> SimulationResult:
     :class:`~repro.sim.accel.SimulationResult` (cycles, per-phase
     traces, energy) with ``outputs=None``.  It reads only the design,
     so it is a second, independent source of the simulator's traffic
-    and costs about as much as the simulator's timing pass; the
-    design-space explorer's ``analytic``/``hybrid`` modes report with it.
+    and costs about as much as the simulator's timing pass: the oracle
+    ``repro estimate --validate`` and ``--all-zoo`` check the compiled
+    program against.
     """
     from repro.estimate import AnalyticEstimator
     return AnalyticEstimator(artifacts.design).report()

@@ -366,12 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "estimator reports on them")
     dse.add_argument("--estimator", default="exact",
                      choices=("exact", "analytic", "hybrid"),
-                     help="report on each built design: exact "
-                          "simulation, the closed-form analytic model, "
-                          "or hybrid (analytic sweep + exact replay of "
-                          "the Pareto frontier and knee neighborhood); "
-                          "all three report the same timing, energy "
-                          "and resources")
+                     help="row label: exact, analytic, or hybrid "
+                          "(analytic sweep + exact replay of the Pareto "
+                          "frontier and knee neighborhood); all three "
+                          "report the timing of each compiled program, "
+                          "so the same timing, energy and resources")
     dse.add_argument("--seed", type=int, default=0,
                      help="seed for functional evaluation")
     dse.set_defaults(handler=cmd_dse)

@@ -2,11 +2,11 @@
 
 Each sweep point takes one path in every estimator mode: the staged
 build pipeline (:mod:`repro.pipeline`) through the
-:func:`repro.api.build` facade, then one report — the simulator or the
-closed-form estimator — then one :class:`PointResult`.  Points of one
+:func:`repro.api.build` facade, then the timing of its compiled program
+priced for its design, then one :class:`PointResult`.  Points of one
 sweep share every build stage they have in common — weight init,
 quantization, datapath selection, fold schedules and their compiled
-programs and analytic timings when budgets buy the same buffers, even
+programs and timings when budgets buy the same buffers, even
 whole realized designs when different cap values clamp to the same
 effective datapath.  The engine exploits that sharing three ways
 before any evaluation runs:
@@ -53,20 +53,16 @@ from repro.dse.result import (
 )
 from repro.dse.spec import SweepPoint, SweepSpec
 from repro.errors import DeepBurningError
-from repro.estimate.model import AnalyticEstimator
 from repro.frontend.graph import NetworkGraph
 from repro.nngen.generator import NNGen
-from repro.pipeline import (
-    BuildPipeline,
-    _declaration_order,
-    default_pipeline,
-    stage_key,
-)
+from repro.pipeline import BuildPipeline, default_pipeline
+from repro.sim.accel import priced
 
-#: Evaluation modes, which differ only in the report on each built
-#: design: the simulator, the closed-form estimator, or the analytic
-#: sweep with an exact replay of the Pareto frontier and knee
-#: neighborhood.
+#: Evaluation modes.  Every mode reports the same memoized timing of the
+#: compiled program; they differ only in the ``estimator`` label, in
+#: whether its seconds count as ``estimate_s`` or ``simulate_s``, and in
+#: ``hybrid`` replaying the Pareto frontier and knee neighborhood as
+#: ``exact`` rows.
 ESTIMATORS = ("exact", "analytic", "hybrid")
 
 
@@ -96,13 +92,13 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
     findings becomes a ``rejected`` result without ever being reported on.
 
     Every mode builds the same artifacts (weightless unless
-    ``functional``) and differs only in the report:
-    ``estimator="analytic"`` scores the closed-form model
-    (:mod:`repro.estimate`), whose recurrence is memoized per fold
-    schedule, SIMD width and device and priced per design; otherwise
-    the simulator runs the compiled program.  Both reports are a
-    :class:`~repro.sim.accel.SimulationResult` with the same cycles
-    and energy.
+    ``functional``) and reports the same timing: the pipeline's
+    ``timing`` stage, memoized per compiled program, SIMD width and
+    device, priced per design (:func:`~repro.sim.accel.priced`).
+    ``estimator="analytic"`` counts its seconds as ``estimate_s``, any
+    other mode as ``simulate_s``.  A ``functional`` point also runs the
+    simulator, for its output only, and scores it against the float
+    reference.
 
     ``pipeline`` carries the stage cache shared across the sweep (the
     process-wide default when omitted); the result's ``stage_s`` records
@@ -141,26 +137,18 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
                 )
         design = artifacts.design
         used = design.resource_report()
+        timing, seconds = pipe.timing(artifacts)
+        report = priced(design, timing, occupied_lut=used.lut)
         accuracy = None
-        if label == "analytic":
-            estimator = AnalyticEstimator(design)
-            timing, stage_s["estimate_s"] = pipe.cache.get_or_build(
-                "estimate",
-                stage_key("estimate", compile=artifacts.stage_keys["compile"],
-                          simd=design.datapath.simd,
-                          device=design.budget.device.name),
-                estimator.timing)
-            report = estimator.report(timing, used.lut)
-        else:
+        if functional:
             started = time.perf_counter()
-            report = api.simulator(artifacts).run(
-                artifacts.random_input() if functional else None,
-                functional=functional)
-            stage_s["simulate_s"] = time.perf_counter() - started
-            if functional:
-                reference = pipe.reference_output(artifacts)
-                accuracy = _fidelity(np.asarray(report.output, dtype=float),
-                                     np.asarray(reference, dtype=float))
+            output = api.simulate(artifacts).output
+            seconds += time.perf_counter() - started
+            accuracy = _fidelity(
+                np.asarray(output, dtype=float),
+                np.asarray(pipe.reference_output(artifacts), dtype=float))
+        stage_s["estimate_s" if label == "analytic" else "simulate_s"] = \
+            seconds
         return PointResult(
             point=point,
             status="ok",
@@ -297,7 +285,7 @@ def _design_group_key(pipe: BuildPipeline, graph: NetworkGraph, fp: str,
         key = keys.get(effective)
         if key is None:
             key = "design:" + pipe.design_key(
-                fp, _declaration_order(graph), budget, config,
+                fp, pipe.resolve(graph, fp), budget, config,
                 point.fold_capacity_scale)
             keys[effective] = key
         return key
@@ -471,13 +459,11 @@ def run_sweep(graph: NetworkGraph, spec: SweepSpec, jobs: int = 1,
     replicated (``deduped`` / ``design_shared`` in the outcome); fresh
     results are written back before the sweep returns.
 
-    ``estimator`` selects the report on each built design: ``"exact"``
-    simulates the compiled program; ``"analytic"`` scores the
-    closed-form model on the same build, so both cost one build per
-    fresh design group and give the same figures; ``"hybrid"`` sweeps
-    analytically and then replays the Pareto frontier plus the knee
-    neighborhood through the simulator (honoring ``spec.functional``),
-    recorded as ``estimator="exact"`` rows.
+    ``estimator`` labels the rows: ``"exact"`` and ``"analytic"`` report
+    the same timing of each compiled program (:func:`evaluate_point`);
+    ``"hybrid"`` sweeps as ``"analytic"`` and then evaluates the Pareto
+    frontier plus the knee neighborhood again (honoring
+    ``spec.functional``), recorded as ``estimator="exact"`` rows.
 
     With a ``cache``, every point counts as one hit or one miss: a
     replayed point by its exact lookup, any other by its own.

@@ -46,10 +46,9 @@ class PointResult:
     #: Output fidelity vs the float reference in [0, 1]; None when the
     #: sweep ran timing-only.
     accuracy: float | None = None
-    #: Which evaluator produced the timing/energy figures: ``"exact"``
-    #: (simulator on the compiled program) or ``"analytic"``
-    #: (closed-form estimator).  A hybrid sweep's replayed frontier
-    #: points read ``"exact"``.
+    #: The sweep mode's label, ``"exact"`` or ``"analytic"``; both
+    #: report the timing of the compiled program.  A hybrid sweep's
+    #: replayed frontier points read ``"exact"``.
     estimator: str = "exact"
     #: True when this result came out of the design cache.
     cached: bool = False
@@ -184,9 +183,8 @@ def knee_neighborhood(
     Distances are measured in axes normalized over the feasible span
     (the same scaling the knee selection uses) and ties resolve on the
     point label, so the neighborhood is deterministic.  A hybrid sweep
-    replays these alongside the frontier: the near-optimal region stays
-    simulator-accurate even when a point sits just off the analytic
-    frontier.
+    replays these alongside the frontier as ``exact`` rows (with the
+    functional simulation, if the sweep asks for it).
     """
     if knee is None:
         return []
@@ -344,7 +342,7 @@ class SweepResult:
             note = f"estimator: {self.estimator}"
             if self.estimator == "hybrid":
                 note += (f" ({self.replayed} frontier/knee points replayed "
-                         "through the exact simulator)")
+                         "as exact)")
             lines.append(note)
         lines.append(self.cache_summary())
         if has_stages:

@@ -9,9 +9,10 @@ AnalyticEstimator` feeds the same recurrence
 derives from the realized design — fold schedule and AGU
 access-pattern arithmetic — without reading a control program or
 weights.  That makes it a second, independent source of the
-simulator's traffic; it costs about as much as the simulator's timing
-pass, and the design-space explorer reports with it in its
-``analytic``/``hybrid`` modes (``repro dse --estimator``).
+simulator's traffic, which must match the compiled program's fold for
+fold; it costs about as much as the simulator's timing pass.  The
+design-space explorer does not use it: every sweep mode reports the
+timing of the compiled program (:func:`~repro.sim.accel.program_timing`).
 
 :func:`~repro.estimate.validate.cross_validate` checks the model against
 the simulator across the zoo, mirroring the static-vs-dynamic verifier

@@ -32,12 +32,11 @@ from repro.compiler.layout import choose_tile_side
 from repro.frontend.layers import LayerKind, LayerSpec
 from repro.nngen.design import AcceleratorDesign, FoldPhase
 from repro.sim.accel import (
-    PhaseTrace,
     PhaseTraffic,
     SimulationResult,
     pipeline_timing,
+    priced,
 )
-from repro.sim.power import EnergyModel
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ class AnalyticEstimator:
     Needs only the :class:`~repro.nngen.design.AcceleratorDesign` (fold
     schedule, blob shapes, datapath, budget device) — no compiled
     program, no weights.  Construction precomputes per-layer constants;
-    :meth:`timing` runs the recurrence over the fold schedule and
-    :meth:`report` prices it for this design.
+    :meth:`report` evaluates the recurrence over the fold schedule.
     """
 
     def __init__(self, design: AcceleratorDesign) -> None:
@@ -166,39 +164,12 @@ class AnalyticEstimator:
 
     # --- the recurrence -----------------------------------------------
 
-    def timing(self) -> tuple[int, list[PhaseTrace], EnergyModel]:
-        """Cycles, phase traces and activity counts of the recurrence
-        over the fold schedule (:func:`~repro.sim.accel.pipeline_timing`).
-
-        They read the fold schedule, the datapath and the device, not
-        the design's area, so designs that share those share one timing.
-        """
-        return pipeline_timing(
-            self.design, [(phase, self.phase_traffic(phase))
-                          for phase in self.design.folding.phases])
-
-    def report(self, timing: tuple[int, list[PhaseTrace], EnergyModel]
-               | None = None,
-               occupied_lut: int | None = None) -> SimulationResult:
+    def report(self) -> SimulationResult:
         """Evaluate the pipeline recurrence over the fold schedule.
 
-        ``timing`` is a :meth:`timing` result to reuse, computed for a
-        design with this one's fold schedule, datapath and device.  The
-        static power is priced at this design's LUTs, ``occupied_lut``
-        if the caller has counted them.  The result has the simulator's
-        shape with ``outputs=None``: the model never executes the
-        network.
+        The result has the simulator's shape with ``outputs=None``: the
+        model never executes the network.
         """
-        if timing is None:
-            timing = self.timing()  # its energy model prices this design
-        elif occupied_lut is None:
-            occupied_lut = self.design.resource_report().lut
-        cycles, traces, energy_model = timing
-        return SimulationResult(
-            cycles=cycles,
-            time_s=cycles / self.design.budget.device.clock_hz,
-            energy=energy_model.report(cycles, occupied_lut),
-            phase_traces=traces,
-            dram_words=energy_model.dram_words,
-            macs=energy_model.macs,
-        )
+        return priced(self.design, pipeline_timing(
+            self.design, [(phase, self.phase_traffic(phase))
+                          for phase in self.design.folding.phases]))

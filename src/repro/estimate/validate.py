@@ -3,7 +3,8 @@
 Mirrors the static-vs-dynamic verifier check: build every zoo network
 (timing-only), run both the simulator and the analytic model, and
 report the relative cycle error plus the activity-counter agreement.
-``repro estimate --all-zoo --max-error 0.05`` gates this in CI.
+``repro estimate --all-zoo --max-error 0`` gates this in CI: the two
+traffic sources must agree exactly.
 """
 
 from __future__ import annotations

@@ -23,8 +23,10 @@ design     fingerprint, declaration order, budget, formats,
 compile    folding key, the memory map's SIMD alignment, formats (the
            control program is weight-independent when no calibration
            inputs are given)
-dram       fingerprint, seed, declaration order, weight format, SIMD
-           width
+timing     compile key, SIMD width, device (the recurrence over the
+           compiled program's traffic; priced per design)
+dram       fingerprint, seed, declaration order, weight format, the
+           memory map's SIMD alignment
 reference  fingerprint, seed, declaration order (float forward for
            fidelity scoring)
 ========== =========================================================
@@ -64,9 +66,12 @@ from those views (``CompiledModel.execution_plan`` in
 
 Memoization is semantically transparent: a warm build returns
 bit-identical artifacts to a cold one, which ``tests/test_pipeline.py``
-asserts stage by stage.  Builds with ``calibration_inputs`` bypass the
-cache entirely (their blob formats depend on the weight values), and
-explicit trained-weight dicts share the weight-independent stages only.
+asserts stage by stage.  Explicit trained-weight dicts share the
+weight-independent stages only.  A build with ``calibration_inputs``
+takes its design and weightless core from the stages, then calibrates
+its blob formats, unmemoized: they depend on the weight values and the
+calibration set, which the design and the coordinator program do not
+read.
 """
 
 from __future__ import annotations
@@ -99,13 +104,14 @@ from repro.fixedpoint.format import (
 from repro.frontend import resolver
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.resolver import ResolvedGraph
-from repro.nn.reference import SeededWeights, init_weights
+from repro.nn.reference import SeededWeights
 from repro.nngen.folding import build_folding_plan
 from repro.nngen.generator import NNGen
+from repro.sim.accel import program_timing
 
 #: Stage names, in flow order (used by stats reporting and the docs).
 STAGES = ("resolve", "weights", "datapath", "folding", "design", "compile",
-          "dram", "reference")
+          "timing", "dram", "reference")
 
 
 def stage_key(stage: str, **fields: object) -> str:
@@ -306,18 +312,19 @@ class BuildPipeline:
             lambda: gen.datapath(resolved, budget, data_format=data_format,
                                  weight_format=weight_format))
 
-    def design_key(self, fp: str, order: list[str],
+    def design_key(self, fp: str, resolved: ResolvedGraph,
                    budget: ResourceBudget, config,
                    fold_capacity_scale: float) -> str:
         """Content address of a *realized* design.
 
         Keyed on the effective (post-cap) datapath configuration, so cap
         values above what the budget supports collapse onto one entry,
-        and on the layer names in declaration ``order``, which the fold
+        and on the layer names in declaration order, which the fold
         schedule follows.
         """
         return stage_key(
-            "design", fp=fp, order=order, budget=_budget_fields(budget),
+            "design", fp=fp, order=_declaration_order(resolved.graph),
+            budget=_budget_fields(budget),
             data_bits=_bits(config.data_format),
             weight_bits=_bits(config.weight_format),
             lanes=config.lanes, simd=config.simd,
@@ -361,8 +368,8 @@ class BuildPipeline:
         config, choose_s = self.datapath(resolved, fp, budget, data_format,
                                          weight_format)
         config = NNGen.apply_caps(config, max_lanes, max_simd)
-        key = self.design_key(fp, _declaration_order(resolved.graph),
-                              budget, config, fold_capacity_scale)
+        key = self.design_key(fp, resolved, budget, config,
+                              fold_capacity_scale)
 
         realised = False
 
@@ -427,16 +434,34 @@ class BuildPipeline:
             core = replace(core, design=design)
         return core, seconds
 
+    def timing(self, artifacts):
+        """The recurrence over the artifacts' compiled program
+        (:func:`~repro.sim.accel.program_timing`), memoized; returns
+        ``(timing, seconds)``.
+
+        It reads the coordinator program (the compile key), the
+        datapath's SIMD width and the device, not the design's area, so
+        designs sharing those share one timing;
+        :func:`~repro.sim.accel.priced` prices it per design.
+        """
+        design = artifacts.design
+        return self.cache.get_or_build(
+            "timing",
+            stage_key("timing", compile=artifacts.stage_keys["compile"],
+                      simd=design.datapath.simd,
+                      device=design.budget.device.name),
+            lambda: program_timing(artifacts.program))
+
     def dram_image(self, design, core, fp: str, seed: int,
                    weights, weight_format: QFormat,
                    memoize: bool = True):
         """The quantized weight DRAM image for one compiled core.
 
-        The image layout depends on the memory map (graph × SIMD
-        alignment), the weight values (fingerprint × declaration order
-        × seed) and the weight format — nothing else, so sweep points
-        that differ only in budget knobs with the same SIMD width share
-        one image.
+        The image layout depends on the memory map (graph × the SIMD
+        alignment :func:`~repro.compiler.memmap.port_alignment` gives),
+        the weight values (fingerprint × declaration order × seed) and
+        the weight format — nothing else, so sweep points that share an
+        alignment share one image, whatever their SIMD widths.
         """
         builder = DeepBurningCompiler()
 
@@ -451,7 +476,7 @@ class BuildPipeline:
             "dram", fp=fp, seed=seed,
             order=_declaration_order(design.graph),
             weight_bits=_bits(weight_format),
-            simd=design.datapath.simd,
+            alignment=port_alignment(design.resolved, design.datapath.simd),
         )
         return self.cache.get_or_build("dram", key, build)
 
@@ -508,15 +533,6 @@ class BuildPipeline:
         else:
             seeded = False
 
-        if calibration_inputs:
-            # Calibrated blob formats depend on the weight values and the
-            # calibration set; run the legacy monolithic chain unmemoized.
-            return self._build_uncached(
-                graph, budget, data_format, weight_format, max_lanes,
-                max_simd, fold_capacity_scale, weights if not seeded
-                else init_weights(graph, np.random.default_rng(seed)),
-                calibration_inputs, seed, timings)
-
         fp = self.fingerprint(graph)
         resolve_t0 = time.perf_counter()
         resolved = self.resolve(graph, fp)
@@ -537,14 +553,23 @@ class BuildPipeline:
         if seeded:
             weights, weights_s = self.weights(resolved, fp, seed)
             timings["quantize_s"] += weights_s
-        if weights is None:
-            program = core  # a weightless core already has dram_image=None
-        else:
+        program = core  # a weightless core has dram_image=None
+        if calibration_inputs:
+            # Blob formats calibrated on the weights, per build: the
+            # design and the core do not read them.
+            started = time.perf_counter()
+            compiler = DeepBurningCompiler()
+            formats = compiler._calibrate_blobs(design, weights,
+                                                calibration_inputs)
+            program = replace(core, blob_formats=formats,
+                              luts=compiler._build_luts(design, formats))
+            timings["compile_s"] += time.perf_counter() - started
+        if weights is not None:
             dram, dram_s = self.dram_image(
                 design, core, fp, seed, weights, weight_format,
                 memoize=seeded)
             timings["quantize_s"] += dram_s
-            program = replace(core, dram_image=dram)
+            program = replace(program, dram_image=dram)
 
         return api.BuildArtifacts(
             graph=graph,
@@ -555,35 +580,6 @@ class BuildPipeline:
             seed=seed,
             stage_seconds=timings,
             stage_keys={"fingerprint": fp, **keys, "seeded": seeded},
-        )
-
-    def _build_uncached(self, graph, budget, data_format, weight_format,
-                        max_lanes, max_simd, fold_capacity_scale, weights,
-                        calibration_inputs, seed, timings):
-        """The pre-memoization monolithic chain (calibration builds)."""
-        from repro import api
-
-        t0 = time.perf_counter()
-        design = NNGen().generate(
-            graph, budget,
-            data_format=data_format, weight_format=weight_format,
-            max_lanes=max_lanes, max_simd=max_simd,
-            fold_capacity_scale=fold_capacity_scale,
-        )
-        timings["nngen_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        program = DeepBurningCompiler().compile(
-            design, weights=weights, calibration_inputs=calibration_inputs)
-        timings["compile_s"] = time.perf_counter() - t0
-        return api.BuildArtifacts(
-            graph=graph,
-            design=design,
-            program=program,
-            budget=budget,
-            weights=weights,
-            seed=seed,
-            stage_seconds=timings,
-            stage_keys=None,
         )
 
     # --- downstream stages --------------------------------------------

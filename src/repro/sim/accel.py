@@ -6,10 +6,15 @@ beats).  Double buffering lets phase *i+1*'s load overlap phase *i*'s
 compute, exactly the behaviour the two-bank buffers and the
 context-buffer triggers implement in hardware.  With one main AGU and
 one shared datapath that pipeline is a two-term recurrence,
-:func:`pipeline_timing`, which both the simulator and the analytic
-estimator (:mod:`repro.estimate`) evaluate; they differ only in where
-each phase's :class:`PhaseTraffic` comes from.  The simulator reads it
-off the compiled address plans.
+:func:`pipeline_timing`.  :func:`program_timing` runs it over the
+traffic each compiled coordinator state records: the simulator and the
+build pipeline's ``timing`` stage report that timing, and so does every
+design-space sweep.  The analytic estimator
+(:mod:`repro.estimate`) runs the same recurrence over traffic it
+derives without a compiled program, as an independent oracle.  A
+timing reads the fold schedule, the datapath and the device, not the
+design's area; :func:`priced` turns it into one design's
+:class:`SimulationResult`.
 
 Functional output is produced by the bit-level
 :class:`~repro.sim.quantized.QuantizedExecutor` (the two views describe
@@ -20,7 +25,7 @@ scale on a laptop — see DESIGN.md).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -122,10 +127,14 @@ class SimulationResult:
         )
 
 
+#: Cycles, phase traces and activity counts of one fold schedule.
+Timing = tuple[int, list[PhaseTrace], EnergyModel]
+
+
 def pipeline_timing(
     design: AcceleratorDesign,
     phases: Iterable[tuple[FoldPhase, PhaseTraffic]],
-) -> tuple[int, list[PhaseTrace], EnergyModel]:
+) -> Timing:
     """Cycles, phase traces and activity counts of one fold schedule.
 
     One main AGU loads the folds back to back, so ``load_finish[i] =
@@ -140,7 +149,7 @@ def pipeline_timing(
     device = design.budget.device
     dram = DRAMModel.for_device(device)
     word_bytes = -(-design.datapath.data_width // 8)
-    energy_model = EnergyModel(device, design, word_bytes=word_bytes)
+    energy_model = EnergyModel(device, word_bytes=word_bytes)
     traces: list[PhaseTrace] = []
     load_finish = float(device.invocation_overhead_cycles)
     compute_finish = 0.0
@@ -184,6 +193,33 @@ def state_traffic(state: CoordinatorState) -> PhaseTraffic:
     )
 
 
+def program_timing(program: ControlProgram) -> Timing:
+    """The recurrence over the traffic of each compiled coordinator
+    state."""
+    return pipeline_timing(
+        program.design,
+        [(state.phase, state_traffic(state))
+         for state in program.coordinator.states])
+
+
+def priced(design: AcceleratorDesign, timing: Timing,
+           occupied_lut: int | None = None) -> SimulationResult:
+    """``design``'s timing-only result of ``timing``: its static power
+    priced at the design's LUTs (``occupied_lut`` if the caller has
+    counted them)."""
+    cycles, traces, energy_model = timing
+    if occupied_lut is None:
+        occupied_lut = design.resource_report().lut
+    return SimulationResult(
+        cycles=cycles,
+        time_s=cycles / design.budget.device.clock_hz,
+        energy=energy_model.report(cycles, occupied_lut),
+        phase_traces=traces,
+        dram_words=energy_model.dram_words,
+        macs=energy_model.macs,
+    )
+
+
 class AcceleratorSimulator:
     """Simulates one generated accelerator running its control program."""
 
@@ -195,9 +231,7 @@ class AcceleratorSimulator:
         self.program = program
         self.design = program.design
         self.weights = weights
-        self.device = self.design.budget.device
-        self._timing_cache: tuple[int, list[PhaseTrace], EnergyModel] | None \
-            = None
+        self._timed: SimulationResult | None = None
         self._executor: QuantizedExecutor | None = None
         #: Lazy provider of a shared execution plan for the functional
         #: executor (a served model hands its sessions the one plan it
@@ -206,20 +240,18 @@ class AcceleratorSimulator:
 
     # ------------------------------------------------------------------
 
-    def _timing(self) -> tuple[int, list[PhaseTrace], EnergyModel]:
-        """The timing/energy pass, computed once per simulator.
+    def _timing(self) -> SimulationResult:
+        """The timing/energy pass, computed and priced once per
+        simulator.
 
         The control program is input-independent (the fold schedule and
         address streams are fixed at compile time), so one simulator can
         serve many requests reusing the same cycle/energy result — the
         batched serving runtime leans on this.
         """
-        if self._timing_cache is None:
-            self._timing_cache = pipeline_timing(
-                self.design,
-                [(state.phase, state_traffic(state))
-                 for state in self.program.coordinator.states])
-        return self._timing_cache
+        if self._timed is None:
+            self._timed = priced(self.design, program_timing(self.program))
+        return self._timed
 
     def _functional_executor(self, batched: bool = False) -> QuantizedExecutor:
         """The bit-level executor, built once and reset per request.
@@ -254,8 +286,6 @@ class AcceleratorSimulator:
         by default only the network output (and the ``"__output__"``
         alias) is dequantized and returned.
         """
-        cycles, traces, energy_model = self._timing()
-        energy = energy_model.report(cycles)
         outputs = None
         if functional:
             if inputs is None:
@@ -265,15 +295,7 @@ class AcceleratorSimulator:
             output_blob = self.design.resolved.output
             outputs = dict(blobs)
             outputs["__output__"] = blobs[output_blob]
-        return SimulationResult(
-            cycles=cycles,
-            time_s=cycles / self.device.clock_hz,
-            energy=energy,
-            phase_traces=traces,
-            outputs=outputs,
-            dram_words=energy_model.dram_words,
-            macs=energy_model.macs,
-        )
+        return replace(self._timing(), outputs=outputs)
 
     def run_batch(self, batch: "list[np.ndarray] | np.ndarray",
                   functional: bool = True,
@@ -289,8 +311,7 @@ class AcceleratorSimulator:
         """
         if not functional:
             return [self.run(functional=False) for _ in batch]
-        cycles, traces, energy_model = self._timing()
-        energy = energy_model.report(cycles)
+        timed = self._timing()
         executor = self._functional_executor(batched=True)
         stacked = executor.forward_batch(batch, all_blobs=all_blobs)
         output_blob = self.design.resolved.output
@@ -299,13 +320,5 @@ class AcceleratorSimulator:
             outputs = {blob: array[index]
                        for blob, array in stacked.items()}
             outputs["__output__"] = outputs[output_blob]
-            results.append(SimulationResult(
-                cycles=cycles,
-                time_s=cycles / self.device.clock_hz,
-                energy=energy,
-                phase_traces=traces,
-                outputs=outputs,
-                dram_words=energy_model.dram_words,
-                macs=energy_model.macs,
-            ))
+            results.append(replace(timed, outputs=outputs))
         return results

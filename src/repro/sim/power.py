@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.devices.device import Device
 from repro.errors import SimulationError
-from repro.nngen.design import AcceleratorDesign
 
 
 @dataclass
@@ -50,21 +49,17 @@ class EnergyReport:
 
 
 class EnergyModel:
-    """Integrates activity counters into an :class:`EnergyReport`."""
+    """Integrates activity counters into an :class:`EnergyReport`.
 
-    def __init__(self, device: Device, design: AcceleratorDesign | None = None,
-                 word_bytes: int = 2) -> None:
+    The counters read the fold schedule, not the design's area, so
+    designs that share a schedule share one model; :meth:`report`
+    prices the static power at the area it is given.
+    """
+
+    def __init__(self, device: Device, word_bytes: int = 2) -> None:
         self.device = device
         self.word_bytes = word_bytes
-        occupied_lut = design.resource_report().lut if design is not None else 0
-        self.static_power_w = self.static_power(occupied_lut)
         self.reset()
-
-    def static_power(self, occupied_lut: int) -> float:
-        """The device's static power plus that of ``occupied_lut``
-        LUTs."""
-        return (self.device.static_power_w
-                + self.device.power_per_klut * occupied_lut / 1000.0)
 
     def reset(self) -> None:
         self.macs = 0
@@ -78,17 +73,14 @@ class EnergyModel:
         self.sram_words += sram_words
         self.dram_words += dram_words
 
-    def report(self, cycles: int,
-               occupied_lut: int | None = None) -> EnergyReport:
-        """The run's energy.  ``occupied_lut`` prices the static power
-        at that many LUTs instead of the design the counts were taken
-        on: designs that share a fold schedule share its activity
-        counts, not their area."""
+    def report(self, cycles: int, occupied_lut: int = 0) -> EnergyReport:
+        """The run's energy, its static power priced at the device's
+        own plus that of ``occupied_lut`` LUTs."""
         if cycles < 0:
             raise SimulationError("negative cycle count")
         time_s = cycles / self.device.clock_hz
-        static_power_w = (self.static_power_w if occupied_lut is None
-                          else self.static_power(occupied_lut))
+        static_power_w = (self.device.static_power_w
+                          + self.device.power_per_klut * occupied_lut / 1000.0)
         return EnergyReport(
             time_s=time_s,
             static_j=static_power_w * time_s,

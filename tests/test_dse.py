@@ -415,6 +415,40 @@ class TestEstimatorModes:
         assert not result.cached and result.estimator == "exact"
 
 
+class TestOneTiming:
+    """Every mode reports the memoized timing of the compiled program;
+    the simulator runs only for a functional point's output."""
+
+    AXES = dict(device="Z-7020", fractions=(0.1, 0.3), max_lanes=(0, 8))
+
+    def test_timing_only_exact_sweep_builds_no_simulator(self, graph,
+                                                         monkeypatch):
+        from repro.sim.accel import AcceleratorSimulator
+
+        built = []
+        init = AcceleratorSimulator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AcceleratorSimulator, "__init__", counted)
+        sweep = run_sweep(graph, SweepSpec(**self.AXES), jobs=1,
+                          pipeline=BuildPipeline())
+        assert all(row.status == "ok" for row in sweep.results)
+        assert built == []
+
+    def test_functional_sweep_reports_the_timing_only_figures(self, graph):
+        timing = run_sweep(graph, SweepSpec(**self.AXES), jobs=1,
+                           pipeline=BuildPipeline())
+        functional = run_sweep(graph, SweepSpec(functional=True,
+                                                **self.AXES),
+                               jobs=1, pipeline=BuildPipeline())
+        assert all(row.accuracy is not None for row in functional.results)
+        assert [(row.cycles, row.energy_j) for row in functional.results] \
+            == [(row.cycles, row.energy_j) for row in timing.results]
+
+
 class TestKneeDeterminism:
     def test_knee_tie_resolves_by_label(self):
         """Two points equidistant from the normalized origin: the

@@ -151,6 +151,19 @@ class TestStageInvalidation:
         assert set(delta) == {"datapath", "design", "compile", "dram"}
         assert "weights" not in delta
 
+    def test_designs_sharing_an_alignment_share_one_image(self, mnist):
+        """The DRAM image reads the memory map's alignment, not the SIMD
+        width: two SIMD widths with one alignment quantize one image."""
+        pipe = BuildPipeline()
+        base = api.build(mnist, device="Z-7045", fraction=0.3, seed=0,
+                         pipeline=pipe)
+        narrow = api.build(mnist, device="Z-7045", fraction=0.3, seed=0,
+                           max_simd=8, pipeline=pipe)
+        assert narrow.design.datapath.simd != base.design.datapath.simd
+        assert narrow.stage_keys["compile"] == base.stage_keys["compile"]
+        assert pipe.cache.stats["dram"].misses == 1
+        assert narrow.program.dram_image is base.program.dram_image
+
     def test_timing_only_build_skips_weight_materialization(self, mnist):
         pipe = BuildPipeline()
         artifacts = api.build(mnist, fraction=0.2, weights=None,
@@ -376,6 +389,48 @@ class TestTransparency:
             references.append(reference)
         if first == "relu1":
             assert not np.array_equal(references[0], references[1])
+
+    @pytest.mark.parametrize("seeded", [False, True],
+                             ids=["trained", "seeded"])
+    def test_calibrated_build_equals_monolithic_compile(self, mnist,
+                                                        seeded):
+        """A calibrated build takes its design and core from the stages
+        and calibrates on top: the same program as compiling a freshly
+        generated design with the weights and calibration set."""
+        from repro.compiler.compiler import DeepBurningCompiler
+        from repro.devices.device import budget_fraction, device_by_name
+        from repro.nn.reference import init_weights
+        from repro.nngen.generator import NNGen
+
+        weights = init_weights(mnist, np.random.default_rng(0))
+        pipe = BuildPipeline()
+        plain = api.build(mnist, device="Z-7045", fraction=0.3,
+                          weights=None, pipeline=pipe)
+        rng = np.random.default_rng(1)
+        calibration = [rng.uniform(0.0, 1.0, plain.random_input().shape)
+                       for _ in range(3)]
+        got = api.build(mnist, device="Z-7045", fraction=0.3,
+                        weights=api.RANDOM_WEIGHTS if seeded else weights,
+                        seed=0, calibration_inputs=calibration,
+                        pipeline=pipe).program
+        assert got.coordinator is plain.program.coordinator
+        want = DeepBurningCompiler().compile(
+            NNGen().generate(mnist,
+                             budget_fraction(device_by_name("Z-7045"), 0.3)),
+            weights, calibration)
+        assert got.blob_formats == want.blob_formats
+        assert got.blob_formats != plain.program.blob_formats
+        assert got.luts.keys() == want.luts.keys()
+        for function, lut in want.luts.items():
+            np.testing.assert_array_equal(got.luts[function].keys, lut.keys)
+            np.testing.assert_array_equal(got.luts[function].values,
+                                          lut.values)
+            assert got.luts[function].value_format == lut.value_format
+        np.testing.assert_array_equal(got.dram_image, want.dram_image)
+        assert got.coordinator.states == want.coordinator.states
+        for table in ("main_table", "data_table", "weight_table"):
+            assert list(getattr(got.coordinator, table)) == \
+                list(getattr(want.coordinator, table))
 
     def test_shared_plan_outputs_match_private_plan(self, mnist,
                                                     monkeypatch):
@@ -634,15 +689,17 @@ class TestScheduleSharing:
 
     def test_cold_sweep_builds_each_distinct_schedule_once(self, mnist,
                                                            monkeypatch):
-        """Count the fold plans, coordinator programs and analytic
-        recurrences a cold sweep builds against the distinct ones among
-        its designs."""
+        """Count the fold plans, coordinator programs and timing
+        recurrences a cold hybrid sweep builds, its replay included,
+        against the distinct ones among its designs: the analytic
+        estimator's traffic is never computed."""
         import repro.pipeline
+        import repro.sim.accel
         from repro.compiler.address import AddressFlowGenerator
         from repro.estimate import AnalyticEstimator
 
         spec = SweepSpec(fractions=(0.1, 0.3, 0.4, 0.5), max_simd=(0, 8))
-        built = {"plans": 0, "programs": 0, "recurrences": 0}
+        built = {"plans": 0, "programs": 0, "recurrences": 0, "traffic": 0}
 
         def counting(owner, name, counter):
             original = getattr(owner, name)
@@ -655,10 +712,13 @@ class TestScheduleSharing:
 
         counting(repro.pipeline, "build_folding_plan", "plans")
         counting(AddressFlowGenerator, "coordinator", "programs")
-        counting(AnalyticEstimator, "timing", "recurrences")
+        counting(repro.pipeline, "program_timing", "recurrences")
+        counting(repro.sim.accel, "program_timing", "recurrences")
+        counting(AnalyticEstimator, "phase_traffic", "traffic")
         sweep = run_sweep(mnist, spec, jobs=1, pipeline=BuildPipeline(),
-                          estimator="analytic")
+                          estimator="hybrid")
         assert all(row.status == "ok" for row in sweep.results)
+        assert sweep.replayed > 0
         monkeypatch.undo()
 
         designs = _sweep_builds(mnist, spec, BuildPipeline())
@@ -672,7 +732,7 @@ class TestScheduleSharing:
                    for a in designs}
         groups = len(spec.points()) - sweep.design_shared - sweep.deduped
         assert built == {"plans": len(plans), "programs": len(programs),
-                         "recurrences": len(timings)}
+                         "recurrences": len(timings), "traffic": 0}
         assert len(plans) < len(timings) < groups
 
 
