@@ -224,8 +224,8 @@ def estimate(artifacts: BuildArtifacts) -> SimulationResult:
     model's per-fold traffic (:mod:`repro.estimate`) over the
     artifacts' realized design — fold schedule, AGU access-pattern
     arithmetic, DRAM traffic — and returns a
-    :class:`~repro.sim.accel.SimulationResult` (cycles, per-phase
-    traces, energy) with ``outputs=None``.  It reads only the design,
+    :class:`~repro.sim.accel.SimulationResult` (cycles, columnar
+    phase traces, energy) with ``outputs=None``.  It reads only the design,
     so it is a second, independent source of the simulator's traffic
     and costs about as much as the simulator's timing pass: the oracle
     ``repro estimate --validate`` and ``--all-zoo`` check the compiled

@@ -14,12 +14,15 @@ from :func:`route_for_phase`, once per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.compiler.patterns import AccessPattern
 from repro.errors import CompileError
 from repro.frontend.layers import LayerKind
 from repro.nngen.design import AcceleratorDesign, FoldPhase
+
+if TYPE_CHECKING:
+    from repro.sim.accel import FoldColumns
 
 #: Datapath route of each layer kind: the ordered chain of functional
 #: blocks the connection box links for that fold (paper §3.2 mapping).
@@ -89,6 +92,11 @@ class CoordinatorProgram:
     data_table: list[AccessPattern] = field(default_factory=list)
     #: Weight AGU (weight buffer -> datapath).
     weight_table: list[AccessPattern] = field(default_factory=list)
+    #: The states as timing columns
+    #: (:func:`repro.sim.accel.program_columns`), built on first use and
+    #: shared by every design bound to this program.
+    fold_columns: FoldColumns | None = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def n_states(self) -> int:

@@ -136,10 +136,9 @@ class ActivationUnit(Component):
         }
 
     def beats_for(self, values: int, function: str) -> int:
-        """Cycles to activate ``values`` outputs."""
-        if values <= 0:
-            return 0
+        """Cycles to activate ``values`` outputs; elementwise over
+        integer arrays."""
         if function in ("relu", "identity"):
-            return -(-values // self.lanes)
+            return (values > 0) * -(-values // self.lanes)
         # LUT-based functions serialise through the shared table.
-        return values
+        return (values > 0) * values

@@ -26,10 +26,9 @@ class KSorterClassifier(Component):
         self.index_width = index_width
 
     def beats_for(self, candidates: int) -> int:
-        """One candidate is inserted per beat, plus a drain of ``k``."""
-        if candidates <= 0:
-            return 0
-        return candidates + self.k
+        """One candidate is inserted per beat, plus a drain of ``k``.
+        Elementwise over integer arrays."""
+        return (candidates > 0) * (candidates + self.k)
 
     def resource_cost(self) -> ResourceCost:
         # k compare-exchange stages, each holding (score, index).

@@ -26,9 +26,9 @@ class DropOutUnit(Component):
         self.width = width
 
     def beats_for(self, values: int) -> int:
-        if values <= 0:
-            return 0
-        return -(-values // self.lanes)
+        """One beat per ``lanes`` values; elementwise over integer
+        arrays."""
+        return (values > 0) * -(-values // self.lanes)
 
     def resource_cost(self) -> ResourceCost:
         # Shared LFSR + threshold comparator, a gate mux per lane.

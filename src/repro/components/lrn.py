@@ -30,10 +30,9 @@ class LRNUnit(Component):
                                    width, width)
 
     def beats_for(self, values: int) -> int:
-        """One activation is normalised per beat once the window fills."""
-        if values <= 0:
-            return 0
-        return values + self.max_local_size
+        """One activation is normalised per beat once the window fills.
+        Elementwise over integer arrays."""
+        return (values > 0) * (values + self.max_local_size)
 
     def resource_cost(self) -> ResourceCost:
         # Squaring multiplier, window shift register, sum, scale multiply.

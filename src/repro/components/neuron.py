@@ -46,12 +46,12 @@ class SynergyNeuronArray(Component):
 
         ``lanes`` outputs proceed in parallel; each needs
         ``ceil(depth / simd)`` beats through its multiplier bank.
+        Elementwise over integer arrays.
         """
-        if outputs <= 0 or macs_per_output <= 0:
-            return 0
         beats_per_output = -(-macs_per_output // self.simd)
         waves = -(-outputs // self.lanes)
-        return beats_per_output * waves
+        return ((outputs > 0) & (macs_per_output > 0)) \
+            * beats_per_output * waves
 
     def resource_cost(self) -> ResourceCost:
         mult_width = max(self.data_width, self.weight_width)

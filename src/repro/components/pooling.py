@@ -38,12 +38,11 @@ class PoolingUnit(Component):
     def beats_for(self, outputs: int, kernel: int) -> int:
         """Cycles to pool ``outputs`` windows of ``kernel x kernel``.
 
-        One window element per lane per beat.
+        One window element per lane per beat.  Elementwise over integer
+        arrays.
         """
-        if outputs <= 0:
-            return 0
         elements = outputs * kernel * kernel
-        return -(-elements // self.lanes)
+        return (outputs > 0) * -(-elements // self.lanes)
 
     def resource_cost(self) -> ResourceCost:
         per_lane = 0

@@ -2,11 +2,12 @@
 
 Every evaluated sweep point is stored as one JSON file under the cache
 directory, keyed by a SHA-256 over the network fingerprint
-(:meth:`~repro.frontend.graph.NetworkGraph.fingerprint`), the point
-parameters and the evaluation mode.  Repeated sweeps — and overlapping
-points across different sweeps of the same network — skip the whole
-generate→compile→simulate pipeline.  Corrupt or stale-schema entries
-are treated as misses, never as errors.
+(:meth:`~repro.frontend.graph.NetworkGraph.fingerprint`), the layers'
+declaration order, the point parameters and the evaluation mode.
+Repeated sweeps — and overlapping points across different sweeps of
+the same network — skip the whole generate→compile→simulate pipeline.
+Corrupt or stale-schema entries are treated as misses, never as
+errors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.dse.result import RESULT_SCHEMA, PointResult
@@ -51,9 +53,12 @@ class DesignCache:
     @staticmethod
     def key(fingerprint: str, point: SweepPoint,
             functional: bool = False, seed: int = 0,
-            static_filter: bool = False, estimator: str = "exact") -> str:
+            static_filter: bool = False, estimator: str = "exact",
+            order: Sequence[str] = ()) -> str:
         """Content address of one evaluation.
 
+        ``order`` is the layers' declaration order: the fingerprint
+        ignores it, but the fold schedule (and so the row) follows it.
         ``functional``/``seed`` are part of the key because a functional
         run carries a fidelity figure a timing-only run lacks.
         ``static_filter`` and a non-exact ``estimator`` join the record
@@ -66,6 +71,7 @@ class DesignCache:
             "point": point.params(),
             "functional": functional,
             "seed": seed if functional else 0,
+            "order": list(order),
         }
         if static_filter:
             record["static_filter"] = True

@@ -55,7 +55,8 @@ from repro.dse.spec import SweepPoint, SweepSpec
 from repro.errors import DeepBurningError
 from repro.frontend.graph import NetworkGraph
 from repro.nngen.generator import NNGen
-from repro.pipeline import BuildPipeline, default_pipeline
+from repro.pipeline import BuildPipeline, declaration_order, \
+    default_pipeline
 from repro.sim.accel import priced
 
 #: Evaluation modes.  Every mode reports the same memoized timing of the
@@ -330,6 +331,7 @@ def _evaluate_points(graph: NetworkGraph,
     design_shared)``.
     """
     fingerprint = pipe.fingerprint(graph)
+    order = declaration_order(graph)
     results: dict[int, PointResult] = {}
     pending: list[tuple[int, SweepPoint]] = []
     keys: dict[int, str] = {}
@@ -340,7 +342,7 @@ def _evaluate_points(graph: NetworkGraph,
             key = DesignCache.key(fingerprint, point,
                                   functional=spec.functional, seed=spec.seed,
                                   static_filter=spec.static_filter,
-                                  estimator=estimator)
+                                  estimator=estimator, order=order)
             keys[index] = key
             hit = cache.load(key)
             if hit is not None:

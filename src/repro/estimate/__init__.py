@@ -4,10 +4,11 @@ The simulator's timing is one double-buffered load/compute pipeline:
 with one main AGU, load *i* starts when load *i-1* finished, and the
 shared datapath computes fold *i* as soon as its operands are on chip
 and the previous fold retired.  :class:`~repro.estimate.model.
-AnalyticEstimator` feeds the same recurrence
-(:func:`~repro.sim.accel.pipeline_timing`) with per-fold traffic it
-derives from the realized design — fold schedule and AGU
-access-pattern arithmetic — without reading a control program or
+AnalyticEstimator` hands the same recurrence
+(:func:`~repro.sim.accel.pipeline_timing`) the fold schedule's
+columns (:class:`~repro.sim.accel.FoldColumns`), with traffic columns
+it derives fold by fold from the realized design — fold schedule and
+AGU access-pattern arithmetic — without reading a control program or
 weights.  That makes it a second, independent source of the
 simulator's traffic, which must match the compiled program's fold for
 fold; it costs about as much as the simulator's timing pass.  The

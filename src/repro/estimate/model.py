@@ -3,20 +3,22 @@
 Latency
     The simulator and this model share one timing function,
     :func:`~repro.sim.accel.pipeline_timing`: the load/compute pipeline
-    recurrence over the fold schedule, with the simulator's own
-    per-fold datapath model for compute cycles and the DRAM port model
-    for load cycles.  The only input that differs is each fold's
-    :class:`~repro.sim.accel.PhaseTraffic`.
+    recurrence over a fold schedule's
+    :class:`~repro.sim.accel.FoldColumns`, with the simulator's own
+    datapath model for compute cycles and the DRAM port model for load
+    cycles.  The only columns that differ in origin are each fold's
+    traffic: DRAM words, bursts and buffer read words.
 
 Traffic
-    ``load_cycles`` needs the fold's DRAM footprint and burst count —
+    ``load`` cycles need the fold's DRAM footprint and burst count —
     exactly what the address generator
     (:class:`~repro.compiler.address.AddressFlowGenerator`) derives,
     and its access-pattern footprints are pure arithmetic over the
     :class:`~repro.nngen.design.FoldPhase` fields, the blob shapes and
-    the Method-1 tile side.  This module mirrors that arithmetic
-    without building pattern tables, so no control program (and hence
-    no compile stage) is needed.
+    the Method-1 tile side.  This module mirrors that arithmetic fold
+    by fold (:meth:`AnalyticEstimator.phase_traffic`) without building
+    pattern tables, so no control program (and hence no compile stage)
+    is needed.
 
 Energy
     The same traffic counts drive the simulator's activity-based
@@ -32,7 +34,7 @@ from repro.compiler.layout import choose_tile_side
 from repro.frontend.layers import LayerKind, LayerSpec
 from repro.nngen.design import AcceleratorDesign, FoldPhase
 from repro.sim.accel import (
-    PhaseTraffic,
+    FoldColumns,
     SimulationResult,
     pipeline_timing,
     priced,
@@ -104,9 +106,10 @@ class AnalyticEstimator:
 
     # --- per-fold traffic ---------------------------------------------
 
-    def phase_traffic(self, phase: FoldPhase) -> PhaseTraffic:
-        """The fold's DRAM footprint, main-AGU burst count and on-chip
-        read volume — mirroring the address generator's patterns."""
+    def phase_traffic(self, phase: FoldPhase) -> tuple[int, int, int, int]:
+        """The fold's DRAM read and write words, main-AGU burst count
+        and on-chip read words — mirroring the address generator's
+        patterns."""
         context = self._context(phase.layer)
         spec = context.spec
         lanes = self.design.datapath.lanes
@@ -159,8 +162,13 @@ class AnalyticEstimator:
             if spec.tops and phase.output_words:
                 writes += phase.output_words
                 bursts += 1
-        return PhaseTraffic(dram_read_words=reads, dram_write_words=writes,
-                            bursts=bursts, sram_read_words=sram)
+        return reads, writes, bursts, sram
+
+    def fold_columns(self) -> FoldColumns:
+        """The fold schedule's columns, with the derived traffic."""
+        phases = self.design.folding.phases
+        return FoldColumns.of(
+            phases, [self.phase_traffic(phase) for phase in phases])
 
     # --- the recurrence -----------------------------------------------
 
@@ -170,6 +178,5 @@ class AnalyticEstimator:
         The result has the simulator's shape with ``outputs=None``: the
         model never executes the network.
         """
-        return priced(self.design, pipeline_timing(
-            self.design, [(phase, self.phase_traffic(phase))
-                          for phase in self.design.folding.phases]))
+        return priced(self.design,
+                      pipeline_timing(self.design, self.fold_columns()))

@@ -24,7 +24,7 @@ compile    folding key, the memory map's SIMD alignment, formats (the
            control program is weight-independent when no calibration
            inputs are given)
 timing     compile key, SIMD width, device (the recurrence over the
-           compiled program's traffic; priced per design)
+           compiled program's fold columns; priced per design)
 dram       fingerprint, seed, declaration order, weight format, the
            memory map's SIMD alignment
 reference  fingerprint, seed, declaration order (float forward for
@@ -122,7 +122,9 @@ def stage_key(stage: str, **fields: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _declaration_order(graph: NetworkGraph) -> list[str]:
+def declaration_order(graph: NetworkGraph) -> list[str]:
+    """The layer names in the order the graph declares them: the
+    fingerprint ignores it, but the fold schedule follows it."""
     return [spec.name for spec in graph.layers]
 
 
@@ -295,7 +297,7 @@ class BuildPipeline:
         :class:`SeededWeights` that draws them only when read."""
         return self.cache.get_or_build(
             "weights", stage_key("weights", fp=fp, seed=seed,
-                                 order=_declaration_order(resolved.graph)),
+                                 order=declaration_order(resolved.graph)),
             lambda: SeededWeights(resolved, seed))
 
     def datapath(self, resolved: ResolvedGraph, fp: str,
@@ -323,7 +325,7 @@ class BuildPipeline:
         schedule follows.
         """
         return stage_key(
-            "design", fp=fp, order=_declaration_order(resolved.graph),
+            "design", fp=fp, order=declaration_order(resolved.graph),
             budget=_budget_fields(budget),
             data_bits=_bits(config.data_format),
             weight_bits=_bits(config.weight_format),
@@ -341,7 +343,7 @@ class BuildPipeline:
         the same buffers share one plan.
         """
         key = stage_key("folding", fp=fp,
-                        order=_declaration_order(resolved.graph),
+                        order=declaration_order(resolved.graph),
                         lanes=config.lanes,
                         feature_capacity=feature_capacity,
                         weight_capacity=weight_capacity)
@@ -474,7 +476,7 @@ class BuildPipeline:
             return build(), time.perf_counter() - started
         key = stage_key(
             "dram", fp=fp, seed=seed,
-            order=_declaration_order(design.graph),
+            order=declaration_order(design.graph),
             weight_bits=_bits(weight_format),
             alignment=port_alignment(design.resolved, design.datapath.simd),
         )
@@ -604,7 +606,7 @@ class BuildPipeline:
         return self.memo(
             "reference",
             {"fp": keys["fingerprint"], "seed": artifacts.seed,
-             "order": _declaration_order(artifacts.graph)},
+             "order": declaration_order(artifacts.graph)},
             build)
 
 

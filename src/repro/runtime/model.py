@@ -6,9 +6,9 @@ request-oriented interface.  The artifacts never change after
 construction; every mutable piece of simulation state lives in
 per-worker :class:`~repro.sim.accel.AcceleratorSimulator` sessions, so
 N workers can serve the same model concurrently without sharing state.
-The one thing the sessions share is the model's execution plan, which
-the model packs from its own artifacts on first use and owns: it is
-freed with the model.
+The sessions share the model's timing-only result, computed when the
+model is, and its execution plan, which the model packs from its own
+artifacts on first use and owns: it is freed with the model.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ class CompiledModel:
                                        repr=False, compare=False)
     _plan: ExecutionPlan | None = field(default=None, init=False,
                                         repr=False, compare=False)
+    _timed: SimulationResult | None = field(default=None, init=False,
+                                            repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The program is input-independent: one timing-only result
+        # serves every session and request.
+        object.__setattr__(self, "_timed",
+                           api.simulate(self.artifacts, functional=False))
 
     @classmethod
     def build(cls, script_or_graph, name: str = "",
@@ -81,14 +89,15 @@ class CompiledModel:
     def new_session(self) -> AcceleratorSimulator:
         """A fresh simulator session (one per worker thread).
 
-        Each session caches its own timing pass and quantized executor,
-        but all sessions share the model's :attr:`execution_plan` —
+        Each session caches its own quantized executor, but all sessions
+        share the model's timing and its :attr:`execution_plan` —
         weights are packed once per model, not once per worker, and only
         when a session first warms or batch-runs.
         """
         return AcceleratorSimulator(self.artifacts.program,
                                     weights=self.artifacts.weights,
-                                    plan=self._packed_plan)
+                                    plan=self._packed_plan,
+                                    timed=self._timed)
 
     def session(self) -> AcceleratorSimulator:
         """The calling thread's private session, created on first use."""

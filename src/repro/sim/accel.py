@@ -5,16 +5,18 @@ the fold's tiles over the AXI port) and a compute stage (datapath
 beats).  Double buffering lets phase *i+1*'s load overlap phase *i*'s
 compute, exactly the behaviour the two-bank buffers and the
 context-buffer triggers implement in hardware.  With one main AGU and
-one shared datapath that pipeline is a two-term recurrence,
-:func:`pipeline_timing`.  :func:`program_timing` runs it over the
-traffic each compiled coordinator state records: the simulator and the
-build pipeline's ``timing`` stage report that timing, and so does every
-design-space sweep.  The analytic estimator
-(:mod:`repro.estimate`) runs the same recurrence over traffic it
-derives without a compiled program, as an independent oracle.  A
-timing reads the fold schedule, the datapath and the device, not the
-design's area; :func:`priced` turns it into one design's
-:class:`SimulationResult`.
+one shared datapath that pipeline is a two-term recurrence, which
+:func:`pipeline_timing` evaluates as a prefix maximum over a fold
+schedule's :class:`FoldColumns`, one array per field, into one
+columnar :class:`PhaseTraces`.  :func:`program_timing` runs it over
+the columns of a compiled coordinator program, built once per program
+(:func:`program_columns`): the simulator and the build pipeline's
+``timing`` stage report that timing, and so does every design-space
+sweep.  The analytic estimator (:mod:`repro.estimate`) hands the same
+recurrence columns whose traffic it derives without a compiled
+program, as an independent oracle.  A timing reads the fold schedule,
+the datapath and the device, not the design's area; :func:`priced`
+turns it into one design's :class:`SimulationResult`.
 
 Functional output is produced by the bit-level
 :class:`~repro.sim.quantized.QuantizedExecutor` (the two views describe
@@ -25,43 +27,116 @@ scale on a laptop — see DESIGN.md).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.compiler.control import CoordinatorState
 from repro.compiler.program import ControlProgram
 from repro.errors import SimulationError
 from repro.nngen.design import AcceleratorDesign, FoldPhase
-from repro.sim.datapath import buffer_stream_beats, compute_beats
+from repro.sim.datapath import KIND_CODES, buffer_stream_beats, compute_beats
 from repro.sim.memory import DRAMModel
 from repro.sim.plan import ExecutionPlan
 from repro.sim.power import EnergyModel, EnergyReport
 from repro.sim.quantized import QuantizedExecutor
 
 
-@dataclass(frozen=True)
-class PhaseTraffic:
-    """DRAM/SRAM footprint of one fold phase, at datapath word granularity."""
+@dataclass(frozen=True, eq=False)
+class FoldColumns:
+    """A fold schedule and the traffic of each fold, as columns.
 
-    dram_read_words: int
-    dram_write_words: int
-    bursts: int
-    sram_read_words: int
+    One array per field, one entry per fold in fold order: ``layer``
+    holds the layer names, ``kind`` the layer kinds' codes
+    (:data:`~repro.sim.datapath.KIND_CODES`), ``partial`` is 0 or 1, and
+    the rest are the :class:`~repro.nngen.design.FoldPhase` fields of the
+    same name.  The traffic is at datapath word granularity: the DRAM
+    words the fold reads and writes, its main-AGU bursts and the words
+    its buffers replay to the datapath.  Every column but ``layer`` is
+    int64.
+    """
+
+    layer: np.ndarray
+    kind: np.ndarray
+    phase_index: np.ndarray
+    out_count: np.ndarray
+    in_count: np.ndarray
+    macs_per_output: np.ndarray
+    partial: np.ndarray
+    input_words: np.ndarray
+    weight_words: np.ndarray
+    output_words: np.ndarray
+    macs: np.ndarray
+    dram_words: np.ndarray
+    bursts: np.ndarray
+    sram_read_words: np.ndarray
+
+    @classmethod
+    def of(cls, phases: Sequence[FoldPhase],
+           traffic: Iterable[tuple[int, int, int, int]]) -> "FoldColumns":
+        """The columns of ``phases``, given each fold's traffic as (DRAM
+        read words, DRAM write words, bursts, buffer read words)."""
+        # One allocation holds every int column (its rows, in field
+        # order): the columns live as long as the program does.  They
+        # are read-only, as a program's columns are shared by every
+        # design bound to it.
+        table = np.array(
+            [(KIND_CODES[phase.kind], phase.phase_index, phase.out_count,
+              phase.in_count, phase.macs_per_output, phase.partial,
+              phase.input_words, phase.weight_words, phase.output_words,
+              phase.macs, reads + writes, bursts, sram)
+             for phase, (reads, writes, bursts, sram)
+             in zip(phases, traffic)],
+            dtype=np.int64).reshape(len(phases), 13).T.copy()
+        table.flags.writeable = False
+        layer = np.array([phase.layer for phase in phases], dtype=str)
+        layer.flags.writeable = False
+        return cls(layer, *table)
+
+    def __len__(self) -> int:
+        return len(self.kind)
 
 
-@dataclass
-class PhaseTrace:
-    """Timing record of one executed fold phase."""
+@dataclass(frozen=True, eq=False)
+class PhaseTraces:
+    """Timing record of an executed fold schedule, as columns.
 
-    layer: str
-    phase_index: int
-    load_cycles: int
-    compute_cycles: int
-    start_cycle: float
-    end_cycle: float
-    macs: int = 0
+    One array per field, one entry per fold in fold order: the layer
+    name, the phase index, the load and compute cycles, the cycles the
+    fold's compute starts and ends, and its MACs.  Two records are equal
+    when every column is.
+    """
+
+    layer: np.ndarray
+    phase_index: np.ndarray
+    load: np.ndarray
+    compute: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    macs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.layer)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseTraces):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, column.name),
+                                  getattr(other, column.name))
+                   for column in fields(self))
+
+    def per_layer(self) -> dict[str, tuple[int, float, float, float]]:
+        """Each layer's folds and its summed compute cycles, load cycles
+        and MACs, in the order the layers first appear."""
+        names, first, inverse = np.unique(
+            self.layer, return_index=True, return_inverse=True)
+        folds = np.bincount(inverse, minlength=len(names))
+        sums = [np.bincount(inverse, weights=column, minlength=len(names))
+                for column in (self.compute, self.load, self.macs)]
+        order = np.argsort(first)
+        return dict(zip(names[order].tolist(), zip(
+            folds[order].tolist(), *(total[order].tolist()
+                                     for total in sums))))
 
 
 @dataclass
@@ -71,7 +146,7 @@ class SimulationResult:
     cycles: int
     time_s: float
     energy: EnergyReport
-    phase_traces: list[PhaseTrace] = field(default_factory=list)
+    phase_traces: PhaseTraces
     outputs: dict[str, np.ndarray] | None = None
     dram_words: int = 0
     macs: int = 0
@@ -84,11 +159,8 @@ class SimulationResult:
 
     def layer_cycles(self) -> dict[str, float]:
         """Busy cycles attributed to each layer (compute view)."""
-        per_layer: dict[str, float] = {}
-        for trace in self.phase_traces:
-            per_layer[trace.layer] = per_layer.get(trace.layer, 0.0) \
-                + trace.compute_cycles
-        return per_layer
+        return {layer: compute for layer, (_, compute, _, _)
+                in self.phase_traces.per_layer().items()}
 
     def layer_report(self, peak_macs_per_cycle: int | None = None) -> str:
         """Per-layer breakdown: folds, cycles, load/compute balance.
@@ -96,26 +168,18 @@ class SimulationResult:
         ``peak_macs_per_cycle`` (the datapath's multiplier count) adds a
         utilization column — achieved MACs per busy cycle over peak.
         """
-        per_layer: dict[str, dict[str, float]] = {}
-        for trace in self.phase_traces:
-            entry = per_layer.setdefault(trace.layer, {
-                "folds": 0, "compute": 0.0, "load": 0.0, "macs": 0})
-            entry["folds"] += 1
-            entry["compute"] += trace.compute_cycles
-            entry["load"] += trace.load_cycles
-            entry["macs"] += trace.macs
         lines = ["layer            folds  compute    load       bound    "
                  + ("util" if peak_macs_per_cycle else "")]
-        for layer, entry in per_layer.items():
-            bound = "memory" if entry["load"] > entry["compute"] \
-                else "compute"
+        for layer, (folds, compute, load, macs) in \
+                self.phase_traces.per_layer().items():
+            bound = "memory" if load > compute else "compute"
             util = ""
             if peak_macs_per_cycle:
-                achieved = entry["macs"] / max(1.0, entry["compute"])
+                achieved = macs / max(1.0, compute)
                 util = f"{achieved / peak_macs_per_cycle:6.1%}"
             lines.append(
-                f"{layer:15s}  {entry['folds']:5d}  {entry['compute']:9.0f}"
-                f"  {entry['load']:9.0f}  {bound:8s} {util}"
+                f"{layer:15s}  {folds:5d}  {compute:9.0f}"
+                f"  {load:9.0f}  {bound:8s} {util}"
             )
         return "\n".join(lines)
 
@@ -128,13 +192,10 @@ class SimulationResult:
 
 
 #: Cycles, phase traces and activity counts of one fold schedule.
-Timing = tuple[int, list[PhaseTrace], EnergyModel]
+Timing = tuple[int, PhaseTraces, EnergyModel]
 
 
-def pipeline_timing(
-    design: AcceleratorDesign,
-    phases: Iterable[tuple[FoldPhase, PhaseTraffic]],
-) -> Timing:
+def pipeline_timing(design: AcceleratorDesign, folds: FoldColumns) -> Timing:
     """Cycles, phase traces and activity counts of one fold schedule.
 
     One main AGU loads the folds back to back, so ``load_finish[i] =
@@ -143,63 +204,70 @@ def pipeline_timing(
     pattern trigger reaches the coordinator; the shared datapath
     computes fold *i* once its operands are on chip and fold *i-1*
     retired, so ``start[i] = max(load_finish[i], end[i-1])`` and
-    ``end[i] = start[i] + compute[i]``.  Total cycles are the last
-    fold's end.
+    ``end[i] = start[i] + compute[i]`` (:func:`pipeline_ends`).  Total
+    cycles are the last fold's end.
     """
-    device = design.budget.device
-    dram = DRAMModel.for_device(device)
-    word_bytes = -(-design.datapath.data_width // 8)
-    energy_model = EnergyModel(device, word_bytes=word_bytes)
-    traces: list[PhaseTrace] = []
-    load_finish = float(device.invocation_overhead_cycles)
-    compute_finish = 0.0
-    for phase, traffic in phases:
-        dram_words = traffic.dram_read_words + traffic.dram_write_words
-        load_cycles = dram.burst_cycles(dram_words * word_bytes,
-                                        bursts=max(1, traffic.bursts))
-        compute_cycles = max(compute_beats(design, phase),
-                             buffer_stream_beats(design, phase))
-        load_finish += load_cycles
-        start = max(load_finish, compute_finish)
-        compute_finish = start + compute_cycles
-        energy_model.count_phase(
-            macs=phase.macs,
-            sram_words=traffic.sram_read_words + phase.output_words,
-            dram_words=dram_words,
-        )
-        traces.append(PhaseTrace(
-            layer=phase.layer,
-            phase_index=phase.phase_index,
-            load_cycles=load_cycles,
-            compute_cycles=compute_cycles,
-            start_cycle=start,
-            end_cycle=compute_finish,
-            macs=phase.macs,
-        ))
-    if not traces:
+    if not len(folds):
         raise SimulationError("fold schedule has no phases")
-    return int(round(compute_finish)), traces, energy_model
+    device = design.budget.device
+    word_bytes = -(-design.datapath.data_width // 8)
+    load = DRAMModel.for_device(device).burst_cycles(
+        folds.dram_words * word_bytes, folds.bursts)
+    compute = np.maximum(compute_beats(design, folds),
+                         buffer_stream_beats(design, folds))
+    end = pipeline_ends(load, compute, device.invocation_overhead_cycles)
+    start = end - compute
+    # A memoized timing's traces are shared by every design and request
+    # that reads them.
+    for column in (load, compute, start, end):
+        column.flags.writeable = False
+    energy_model = EnergyModel(device, word_bytes=word_bytes)
+    energy_model.count(macs=folds.macs,
+                       sram_words=folds.sram_read_words + folds.output_words,
+                       dram_words=folds.dram_words)
+    traces = PhaseTraces(layer=folds.layer, phase_index=folds.phase_index,
+                         load=load, compute=compute, start=start, end=end,
+                         macs=folds.macs)
+    return int(end[-1]), traces, energy_model
 
 
-def state_traffic(state: CoordinatorState) -> PhaseTraffic:
-    """The traffic a compiled fold's address patterns move: one burst
-    per main-AGU pattern.  It reads the state's recorded word counts and
-    row range, so it builds nothing but the result."""
-    return PhaseTraffic(
-        dram_read_words=state.read_words,
-        dram_write_words=state.write_words,
-        bursts=len(state.main),
-        sram_read_words=state.replay_words,
-    )
+def pipeline_ends(load: np.ndarray, compute: np.ndarray,
+                  overhead: int) -> np.ndarray:
+    """Each fold's compute end cycle under the pipeline recurrence, the
+    first load starting ``overhead`` cycles in.
+
+    Unrolled, with ``C`` the running sum of compute cycles, ``end[i] =
+    C[i] + max(0, max over j <= i of load_finish[j] - C[j-1])``: one
+    prefix maximum over int64 columns.
+    """
+    load_finish = overhead + np.cumsum(load)
+    compute_total = np.cumsum(compute)
+    return compute_total + np.maximum(np.maximum.accumulate(
+        load_finish - (compute_total - compute)), 0)
+
+
+def program_columns(program: ControlProgram) -> FoldColumns:
+    """The fold columns of a compiled program: each coordinator state's
+    fold, and the traffic its address patterns move (one burst per
+    main-AGU pattern).
+
+    They are built once and kept on the program's
+    :class:`~repro.compiler.control.CoordinatorProgram`, which every
+    design bound to the program shares.
+    """
+    coordinator = program.coordinator
+    if coordinator.fold_columns is None:
+        states = coordinator.states
+        coordinator.fold_columns = FoldColumns.of(
+            [state.phase for state in states],
+            [(state.read_words, state.write_words, len(state.main),
+              state.replay_words) for state in states])
+    return coordinator.fold_columns
 
 
 def program_timing(program: ControlProgram) -> Timing:
-    """The recurrence over the traffic of each compiled coordinator
-    state."""
-    return pipeline_timing(
-        program.design,
-        [(state.phase, state_traffic(state))
-         for state in program.coordinator.states])
+    """The recurrence over a compiled program's fold columns."""
+    return pipeline_timing(program.design, program_columns(program))
 
 
 def priced(design: AcceleratorDesign, timing: Timing,
@@ -227,11 +295,14 @@ class AcceleratorSimulator:
         self, program: ControlProgram,
         weights: Mapping[str, dict[str, np.ndarray]] | None = None,
         plan: Callable[[], ExecutionPlan] | None = None,
+        timed: SimulationResult | None = None,
     ) -> None:
         self.program = program
         self.design = program.design
         self.weights = weights
-        self._timed: SimulationResult | None = None
+        #: The timing-only result, computed on first use unless given (a
+        #: served model hands its sessions the one it computes).
+        self._timed = timed
         self._executor: QuantizedExecutor | None = None
         #: Lazy provider of a shared execution plan for the functional
         #: executor (a served model hands its sessions the one plan it

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.devices.device import Device
 from repro.errors import SimulationError
 
@@ -35,11 +37,14 @@ class DRAMModel:
             latency_cycles=device.dram_latency_cycles,
         )
 
-    def burst_cycles(self, n_bytes: int, bursts: int = 1) -> int:
-        """Cycles to move ``n_bytes`` split over ``bursts`` bursts."""
-        if n_bytes < 0 or bursts < 0:
+    def burst_cycles(self, n_bytes, bursts=1) -> np.ndarray:
+        """Cycles to move ``n_bytes`` split over ``bursts`` bursts (at
+        least one), elementwise over integer arrays; moving no bytes
+        costs nothing."""
+        n_bytes = np.asarray(n_bytes, dtype=np.int64)
+        bursts = np.asarray(bursts, dtype=np.int64)
+        if n_bytes.min(initial=0) < 0 or bursts.min(initial=0) < 0:
             raise SimulationError("negative transfer size")
-        if n_bytes == 0:
-            return 0
         transfer = -(-n_bytes // self.bytes_per_cycle)
-        return int(self.latency_cycles * max(1, bursts) + transfer)
+        cycles = self.latency_cycles * np.maximum(1, bursts) + transfer
+        return np.where(n_bytes == 0, 0, cycles.astype(np.int64))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.devices.device import Device
 from repro.errors import SimulationError
 
@@ -66,12 +68,18 @@ class EnergyModel:
         self.sram_words = 0
         self.dram_words = 0
 
-    def count_phase(self, macs: int, sram_words: int, dram_words: int) -> None:
-        if min(macs, sram_words, dram_words) < 0:
+    def count(self, macs, sram_words, dram_words) -> None:
+        """Add the activity of a fold schedule: per-fold integer arrays
+        of MACs, on-chip buffer words and DRAM words."""
+        macs, sram_words, dram_words = (
+            np.asarray(column, dtype=np.int64)
+            for column in (macs, sram_words, dram_words))
+        if min(macs.min(initial=0), sram_words.min(initial=0),
+               dram_words.min(initial=0)) < 0:
             raise SimulationError("negative activity counts")
-        self.macs += macs
-        self.sram_words += sram_words
-        self.dram_words += dram_words
+        self.macs += int(macs.sum())
+        self.sram_words += int(sram_words.sum())
+        self.dram_words += int(dram_words.sum())
 
     def report(self, cycles: int, occupied_lut: int = 0) -> EnergyReport:
         """The run's energy, its static power priced at the device's

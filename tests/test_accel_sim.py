@@ -53,14 +53,17 @@ class TestTiming:
 
     def test_all_phases_traced(self):
         graph, _, result = simulate(MLP_TEXT, functional=False)
-        layers = {t.layer for t in result.phase_traces}
+        layers = set(result.phase_traces.layer.tolist())
         assert layers == {"ip1", "sig1", "ip2"}
 
     def test_traces_ordered_and_non_overlapping(self):
         _, _, result = simulate(CNN_TEXT, device=Z7045, functional=False)
-        traces = sorted(result.phase_traces, key=lambda t: t.start_cycle)
-        for before, after in zip(traces, traces[1:]):
-            assert after.start_cycle >= before.end_cycle
+        traces = result.phase_traces
+        order = np.argsort(traces.start, kind="stable")
+        starts = traces.start[order].tolist()
+        ends = traces.end[order].tolist()
+        for before_end, after_start in zip(ends, starts[1:]):
+            assert after_start >= before_end
 
     def test_bigger_network_more_cycles(self):
         _, _, small = simulate(MLP_TEXT, functional=False)
@@ -80,8 +83,8 @@ class TestTiming:
         # invocation overhead.
         _, _, result = simulate(MLP_TEXT, functional=False)
         overhead = Z7020.invocation_overhead_cycles
-        compute_total = sum(t.compute_cycles for t in result.phase_traces)
-        load_total = sum(t.load_cycles for t in result.phase_traces)
+        compute_total = int(result.phase_traces.compute.sum())
+        load_total = int(result.phase_traces.load.sum())
         assert result.cycles >= max(compute_total, load_total) * 0.99
         assert result.cycles <= compute_total + load_total + overhead + 1
 
@@ -96,19 +99,20 @@ class TestTiming:
                                   fraction=0.3, weights=None)
             result = api.simulate(artifacts, functional=False)
             traces = result.phase_traces
-            loads = [t.load_cycles for t in traces]
+            loads = traces.load.tolist()
+            starts, ends = traces.start.tolist(), traces.end.tolist()
+            computes = traces.compute.tolist()
             overhead = artifacts.budget.device.invocation_overhead_cycles
-            assert traces[0].start_cycle == overhead + loads[0]
-            for i, trace in enumerate(traces):
+            assert starts[0] == overhead + loads[0]
+            for i in range(len(traces)):
                 if i:
                     loaded = overhead + sum(loads[:i + 1])
-                    retired = traces[i - 1].end_cycle
-                    assert trace.start_cycle == max(loaded, retired)
+                    retired = ends[i - 1]
+                    assert starts[i] == max(loaded, retired)
                     load_bound += loaded > retired
                     compute_bound += retired > loaded
-                assert trace.end_cycle == \
-                    trace.start_cycle + trace.compute_cycles
-            assert result.cycles == round(traces[-1].end_cycle)
+                assert ends[i] == starts[i] + computes[i]
+            assert result.cycles == round(ends[-1])
         assert load_bound and compute_bound
 
     def test_layer_cycles_accounting(self):
@@ -116,7 +120,7 @@ class TestTiming:
         per_layer = result.layer_cycles()
         assert per_layer["conv1"] > 0
         assert sum(per_layer.values()) == pytest.approx(
-            sum(t.compute_cycles for t in result.phase_traces))
+            int(result.phase_traces.compute.sum()))
 
     def test_summary_text(self):
         _, _, result = simulate(MLP_TEXT, functional=False)
@@ -188,7 +192,7 @@ class TestEnergy:
     def test_energy_model_rejects_negative(self):
         model = EnergyModel(Z7020)
         with pytest.raises(SimulationError):
-            model.count_phase(-1, 0, 0)
+            model.count(np.array([-1]), np.array([0]), np.array([0]))
         with pytest.raises(SimulationError):
             model.report(-5)
 

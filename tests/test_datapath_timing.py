@@ -10,6 +10,7 @@ from repro.frontend.layers import LayerKind
 from repro.nngen import NNGen
 from repro.nngen.allocate import NetworkNeeds, parallelism_caps
 from repro.nngen.design import DatapathConfig, FoldPhase
+from repro.sim.accel import FoldColumns
 from repro.sim.datapath import buffer_stream_beats, compute_beats
 
 MLP_TEXT = """
@@ -27,6 +28,16 @@ def phase(kind, out_count=64, macs_per_output=16, **kwargs):
                      macs_per_output=macs_per_output, **kwargs)
 
 
+def beats(rule, design, fold):
+    """``rule`` (a per-fold rule over columns) of the single ``fold``."""
+    [value] = rule(design, FoldColumns.of([fold], [(0, 0, 0, 0)]))
+    return int(value)
+
+
+def compute(design, fold):
+    return beats(compute_beats, design, fold)
+
+
 @pytest.fixture(scope="module")
 def design():
     return NNGen().generate(load(MLP_TEXT, format="prototxt"),
@@ -35,65 +46,60 @@ def design():
 
 class TestComputeBeats:
     def test_mac_fold_scales_with_depth(self, design):
-        shallow = compute_beats(design, phase(LayerKind.INNER_PRODUCT,
-                                              macs_per_output=8))
-        deep = compute_beats(design, phase(LayerKind.INNER_PRODUCT,
-                                           macs_per_output=64))
+        shallow = compute(design, phase(LayerKind.INNER_PRODUCT,
+                                        macs_per_output=8))
+        deep = compute(design, phase(LayerKind.INNER_PRODUCT,
+                                     macs_per_output=64))
         assert deep > shallow
 
     def test_mac_fold_scales_with_outputs(self, design):
-        few = compute_beats(design, phase(LayerKind.INNER_PRODUCT,
-                                          out_count=8))
-        many = compute_beats(design, phase(LayerKind.INNER_PRODUCT,
-                                           out_count=256))
+        few = compute(design, phase(LayerKind.INNER_PRODUCT, out_count=8))
+        many = compute(design, phase(LayerKind.INNER_PRODUCT,
+                                     out_count=256))
         assert many > few
 
     def test_partial_fold_skips_lut_activation(self, design):
-        complete = compute_beats(design, phase(LayerKind.INNER_PRODUCT))
-        partial = compute_beats(design, phase(LayerKind.INNER_PRODUCT,
-                                              partial=True))
+        complete = compute(design, phase(LayerKind.INNER_PRODUCT))
+        partial = compute(design, phase(LayerKind.INNER_PRODUCT,
+                                        partial=True))
         # The sigmoid LUT drain only applies when outputs complete.
         assert partial <= complete
 
     def test_activation_kinds(self, design):
-        relu = compute_beats(design, phase(LayerKind.RELU,
-                                           macs_per_output=1))
-        sigmoid = compute_beats(design, phase(LayerKind.SIGMOID,
-                                              macs_per_output=1))
+        relu = compute(design, phase(LayerKind.RELU, macs_per_output=1))
+        sigmoid = compute(design, phase(LayerKind.SIGMOID,
+                                        macs_per_output=1))
         # LUT-backed sigmoid serialises; ReLU is lane-parallel.
         assert sigmoid >= relu
 
     def test_classifier_beats(self, design):
         # MLP design carries no classifier; softmax routes through the
         # activation path if the block is absent.
-        beats = compute_beats(design, phase(LayerKind.SOFTMAX,
-                                            macs_per_output=1,
-                                            in_count=32))
-        assert beats > 0
+        value = compute(design, phase(LayerKind.SOFTMAX, macs_per_output=1,
+                                      in_count=32))
+        assert value > 0
 
     def test_unsupported_kind_raises(self, design):
         with pytest.raises(SimulationError):
-            compute_beats(design, phase(LayerKind.POOLING,
-                                        macs_per_output=4))
+            compute(design, phase(LayerKind.POOLING, macs_per_output=4))
 
     def test_dropout_without_unit_falls_back(self, design):
-        beats = compute_beats(design, phase(LayerKind.DROPOUT,
-                                            macs_per_output=1))
-        assert beats >= 1
+        value = compute(design, phase(LayerKind.DROPOUT, macs_per_output=1))
+        assert value >= 1
 
 
 class TestBufferStreamBeats:
     def test_feature_beats_ceil(self, design):
         simd = design.datapath.simd
         p = phase(LayerKind.INNER_PRODUCT, input_words=simd * 3 + 1)
-        assert buffer_stream_beats(design, p) >= 4
+        assert beats(buffer_stream_beats, design, p) >= 4
 
     def test_weight_port_wider(self, design):
         lanes = design.datapath.lanes
         simd = design.datapath.simd
         p = phase(LayerKind.INNER_PRODUCT,
                   input_words=0, weight_words=lanes * simd * 5)
-        assert buffer_stream_beats(design, p) == 5
+        assert beats(buffer_stream_beats, design, p) == 5
 
 
 class TestNetworkNeeds:

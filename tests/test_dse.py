@@ -197,6 +197,25 @@ class TestDesignCache:
         assert sweep.cache_misses == 1
         assert sweep.results[0].feasible
 
+    def test_declaration_order_misses(self, graph, tmp_path):
+        """Declaring relu1 after ip2 leaves the fingerprint alone but
+        changes the schedule, so the reordered net's row must be its
+        own, not the one the first declaration order cached."""
+        reordered = load(SCRIPT.replace(
+            'layers { name: "relu1" type: RELU bottom: "ip1" top: "ip1" }\n',
+            "") + 'layers { name: "relu1" type: RELU bottom: "ip1" '
+            'top: "ip1" }\n', format="prototxt")
+        assert reordered.fingerprint() == graph.fingerprint()
+        spec = SweepSpec(device="Z-7045", fractions=(0.3,), functional=True)
+        cache = DesignCache(str(tmp_path))
+        first = run_sweep(graph, spec, jobs=1, cache=cache)
+        shared = run_sweep(reordered, spec, jobs=1, cache=cache)
+        alone = run_sweep(reordered, spec, jobs=1)
+        assert first.results[0].cycles != alone.results[0].cycles
+        assert shared.cache_misses == 1
+        assert [r.to_json() for r in shared.results] == \
+            [r.to_json() for r in alone.results]
+
     def test_entries_are_json_files(self, graph, tmp_path):
         cache = DesignCache(str(tmp_path))
         run_sweep(graph, SweepSpec(fractions=(0.2,)), jobs=1, cache=cache)

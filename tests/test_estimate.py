@@ -1,12 +1,15 @@
 """Tests for the analytic latency/energy estimator (repro.estimate)."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro import api
 from repro.estimate import AnalyticEstimator, cross_validate
 from repro.estimate.validate import zoo_networks
 from repro.pipeline import BuildPipeline
-from repro.sim.accel import state_traffic
+from repro.sim.accel import FoldColumns, program_columns
 from repro.zoo.models import benchmark_graph
 
 #: Zoo nets covering every datapath shape the estimator models: plain
@@ -85,10 +88,22 @@ class TestCrossValidation:
                                   fraction=0.3, weights=None,
                                   pipeline=pipe)
             estimator = AnalyticEstimator(artifacts.design)
-            for state in artifacts.program.coordinator.states:
-                assert state_traffic(state) == \
-                    estimator.phase_traffic(state.phase), \
-                    (net, state.phase.layer, state.phase.phase_index)
+            states = artifacts.program.coordinator.states
+            recorded = np.array([(state.read_words, state.write_words,
+                                  len(state.main), state.replay_words)
+                                 for state in states])
+            derived = np.array([estimator.phase_traffic(state.phase)
+                                for state in states])
+            wrong = np.flatnonzero((recorded != derived).any(axis=1))
+            assert not len(wrong), [
+                (net, states[i].phase.layer, states[i].phase.phase_index)
+                for i in wrong[:5]]
+            compiled = program_columns(artifacts.program)
+            columns = estimator.fold_columns()
+            for column in fields(FoldColumns):
+                assert np.array_equal(getattr(columns, column.name),
+                                      getattr(compiled, column.name)), \
+                    (net, column.name)
             sim = api.simulate(artifacts, functional=False)
             est = api.estimate(artifacts)
             assert est.phase_traces == sim.phase_traces, net
